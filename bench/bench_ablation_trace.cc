@@ -5,9 +5,8 @@
 //      worst-case overhead (gated at < 5% in CI by
 //      tools/check_trace_overhead.py over the BM_ReduceByKeyHot pair),
 //   2. an iterative multi-wave loop (many short waves => many spans),
-//   3. the Figure-3 workloads across the engine matrix
-//      {eager, fused} x {ordered, hash-agg}, tracing on vs off, outputs
-//      compared byte-for-byte — tracing must never change a result.
+//   3. the Figure-3 workloads, tracing on vs off, outputs compared
+//      byte-for-byte — tracing must never change a result.
 //
 // Usage: bench_ablation_trace [reps] [rows]   (defaults: 3, 2000000)
 
@@ -149,61 +148,47 @@ int main(int argc, char** argv) {
                 OverheadPct(traced_s, untraced_s), equal ? "yes" : "NO");
   }
 
-  // --- 3. Figure-3 workloads across the engine matrix --------------------
-  struct Mode {
-    const char* label;
-    bool fuse;
-    bool hash;
-  };
-  const Mode modes[] = {{"eager/ordered", false, false},
-                        {"eager/hash", false, true},
-                        {"fused/ordered", true, false},
-                        {"fused/hash", true, true}};
-  std::printf("%-24s %-14s %10s %10s %9s %6s\n", "workload", "mode",
-              "untraced s", "traced s", "overhead", "match");
+  // --- 3. Figure-3 workloads ---------------------------------------------
+  std::printf("%-24s %10s %10s %9s %6s\n", "workload", "untraced s",
+              "traced s", "overhead", "match");
   for (const char* name : {"word_count", "group_by", "pagerank"}) {
     const auto& spec = diablo::bench::GetProgram(name);
     std::mt19937_64 rng(11);
     const int64_t scale = spec.name == "pagerank" ? 7 : 50000;
     diablo::Bindings inputs = spec.make_inputs(scale, rng);
-    for (const Mode& mode : modes) {
-      EngineConfig traced;
-      traced.fuse_narrow = mode.fuse;
-      traced.hash_aggregation = mode.hash;
-      EngineConfig untraced = traced;
-      untraced.tracing = false;
-      double best_traced = 1e300, best_untraced = 1e300;
-      StatusOr<diablo::bench::RunStats> traced_stats =
-          diablo::Status::RuntimeError("not run");
-      StatusOr<diablo::bench::RunStats> untraced_stats =
-          diablo::Status::RuntimeError("not run");
-      for (int r = 0; r < reps; ++r) {
-        traced_stats = diablo::bench::RunDiablo(spec, inputs, traced);
-        if (traced_stats.ok() && traced_stats->wall_seconds < best_traced) {
-          best_traced = traced_stats->wall_seconds;
-        }
-        untraced_stats = diablo::bench::RunDiablo(spec, inputs, untraced);
-        if (untraced_stats.ok() &&
-            untraced_stats->wall_seconds < best_untraced) {
-          best_untraced = untraced_stats->wall_seconds;
-        }
+    EngineConfig traced;
+    EngineConfig untraced;
+    untraced.tracing = false;
+    double best_traced = 1e300, best_untraced = 1e300;
+    StatusOr<diablo::bench::RunStats> traced_stats =
+        diablo::Status::RuntimeError("not run");
+    StatusOr<diablo::bench::RunStats> untraced_stats =
+        diablo::Status::RuntimeError("not run");
+    for (int r = 0; r < reps; ++r) {
+      traced_stats = diablo::bench::RunDiablo(spec, inputs, traced);
+      if (traced_stats.ok() && traced_stats->wall_seconds < best_traced) {
+        best_traced = traced_stats->wall_seconds;
       }
-      if (!traced_stats.ok() || !untraced_stats.ok()) {
-        std::printf("%-24s %-14s ERROR: %s\n", name, mode.label,
-                    (!traced_stats.ok() ? traced_stats : untraced_stats)
-                        .status()
-                        .ToString()
-                        .c_str());
-        all_equal = false;
-        continue;
+      untraced_stats = diablo::bench::RunDiablo(spec, inputs, untraced);
+      if (untraced_stats.ok() &&
+          untraced_stats->wall_seconds < best_untraced) {
+        best_untraced = untraced_stats->wall_seconds;
       }
-      const bool equal = traced_stats->output == untraced_stats->output;
-      all_equal = all_equal && equal;
-      std::printf("%-24s %-14s %10.4f %10.4f %+8.2f%% %6s\n", name,
-                  mode.label, best_untraced, best_traced,
-                  OverheadPct(best_traced, best_untraced),
-                  equal ? "yes" : "NO");
     }
+    if (!traced_stats.ok() || !untraced_stats.ok()) {
+      std::printf("%-24s ERROR: %s\n", name,
+                  (!traced_stats.ok() ? traced_stats : untraced_stats)
+                      .status()
+                      .ToString()
+                      .c_str());
+      all_equal = false;
+      continue;
+    }
+    const bool equal = traced_stats->output == untraced_stats->output;
+    all_equal = all_equal && equal;
+    std::printf("%-24s %10.4f %10.4f %+8.2f%% %6s\n", name, best_untraced,
+                best_traced, OverheadPct(best_traced, best_untraced),
+                equal ? "yes" : "NO");
   }
 
   std::printf(

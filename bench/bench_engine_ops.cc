@@ -64,13 +64,10 @@ void BM_Filter(benchmark::State& state) {
 }
 BENCHMARK(BM_Filter)->Arg(10000)->Arg(100000);
 
-// The fused-pipeline payoff: flatMap -> filter -> map -> reduceByKey with
-// the chain either deferred into the shuffle (fused=1) or materialized
-// one ValueVec per operator (fused=0, the eager engine).
+// The fused pipeline: flatMap -> filter -> map -> reduceByKey, with the
+// whole narrow chain deferred into the combine wave.
 void BM_NarrowChain(benchmark::State& state) {
-  diablo::runtime::EngineConfig config;
-  config.fuse_narrow = state.range(1) != 0;
-  Engine engine(config);
+  Engine engine;
   Dataset ds = KeyedData(engine, state.range(0), 100);
   for (auto _ : state) {
     auto expanded =
@@ -91,10 +88,7 @@ void BM_NarrowChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NarrowChain)
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->ArgNames({"rows", "fused"});
+BENCHMARK(BM_NarrowChain)->Args({100000})->ArgNames({"rows"});
 
 void BM_ReduceByKey(benchmark::State& state) {
   Engine engine;
@@ -133,15 +127,11 @@ void BM_Join(benchmark::State& state) {
 }
 BENCHMARK(BM_Join)->Arg(10000)->Arg(50000);
 
-// The AB7 hot path: reduceByKey over a key set small enough that the
-// map-side combine does almost all the work, comparing the hash
-// accumulator (hash=1, the default) against the ordered-map baseline
-// (hash=0). Tracked by CI: a >20% regression on the hash variant fails
-// the bench-smoke threshold check.
+// The hash-aggregation hot path: reduceByKey over a key set small enough
+// that the map-side combine does almost all the work. Tracked by CI: a
+// >20% regression fails the bench-smoke threshold check.
 void BM_ReduceByKeyHot(benchmark::State& state) {
-  diablo::runtime::EngineConfig config;
-  config.hash_aggregation = state.range(2) != 0;
-  Engine engine(config);
+  Engine engine;
   Dataset ds = KeyedData(engine, state.range(0), state.range(1));
   for (auto _ : state) {
     auto out = engine.ReduceByKey(ds, BinOp::kAdd);
@@ -150,11 +140,9 @@ void BM_ReduceByKeyHot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ReduceByKeyHot)
-    ->Args({100000, 1000, 0})
-    ->Args({100000, 1000, 1})
-    ->Args({200000, 20000, 0})
-    ->Args({200000, 20000, 1})
-    ->ArgNames({"rows", "keys", "hash"});
+    ->Args({100000, 1000})
+    ->Args({200000, 20000})
+    ->ArgNames({"rows", "keys"});
 
 // The AB8 overhead gate: the same hot reduceByKey with tracing off vs
 // on. tools/check_trace_overhead.py compares the two variants from one
@@ -286,9 +274,7 @@ BENCHMARK(BM_ReduceByKeySkewed)
 // Join probe throughput: the build side fits a hash table; the probe
 // side reuses the memoized shuffle hash instead of re-walking the key.
 void BM_JoinProbe(benchmark::State& state) {
-  diablo::runtime::EngineConfig config;
-  config.hash_aggregation = state.range(1) != 0;
-  Engine engine(config);
+  Engine engine;
   Dataset left = KeyedData(engine, state.range(0) / 8, state.range(0) / 8);
   Dataset right = KeyedData(engine, state.range(0), state.range(0) / 8);
   for (auto _ : state) {
@@ -297,10 +283,7 @@ void BM_JoinProbe(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_JoinProbe)
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->ArgNames({"rows", "hash"});
+BENCHMARK(BM_JoinProbe)->Args({100000})->ArgNames({"rows"});
 
 void BM_ValueHash(benchmark::State& state) {
   Value v = Value::MakeTuple({Value::MakeInt(42),

@@ -221,7 +221,8 @@ void WorkerMain(const WorkerParams& params,
   auto fd_or = ConnectWithBackoff(params.port, params.connect_attempts,
                                   params.connect_backoff_ms);
   if (!fd_or.ok()) _exit(3);
-  LockedSender sender{*fd_or};
+  LockedSender sender;
+  sender.fd = *fd_or;
 
   std::string hello =
       EncodeHelloPayload(params.worker_id, static_cast<int64_t>(getpid()),

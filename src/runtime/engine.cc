@@ -1,12 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <climits>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -20,15 +15,53 @@ namespace diablo::runtime {
 
 namespace {
 
-/// Stable ordered map, the legacy aggregation path of the wide
-/// operators (EngineConfig::hash_aggregation = false): O(log n) deep
-/// Value::Compare per inserted row. The default path aggregates through
-/// KeyedAccumulator with one final per-partition sort instead; both
-/// produce byte-identical output (asserted in hashagg_test.cc).
-using OrderedGroups = std::map<Value, ValueVec>;
-
 /// Payload of a Distinct accumulator entry: key presence is the datum.
 struct NoPayload {};
+
+/// Drains a hash accumulator into one output partition: entries sorted
+/// by key, each turned into a row by `make_row`. The forward task and
+/// the lineage rebuild of groupByKey, reduceByKey, coGroup and distinct
+/// finish through the same finalizer below, so a rebuilt partition is
+/// byte-identical to the original.
+template <typename Payload, typename MakeRow>
+ValueVec SortedRows(KeyedAccumulator<Payload>* acc, MakeRow make_row) {
+  acc->SortByKey();
+  ValueVec out;
+  out.reserve(acc->size());
+  for (auto& e : acc->entries()) out.push_back(make_row(e));
+  return out;
+}
+
+/// GroupByKey's finalizer: (key, Bag-of-values) rows in key order.
+ValueVec GroupedRows(KeyedAccumulator<ValueVec>* groups) {
+  return SortedRows(groups, [](auto& e) {
+    return Value::MakePair(std::move(e.key),
+                           Value::MakeBag(std::move(e.payload)));
+  });
+}
+
+/// ReduceByKey's reduce-side finalizer: (key, folded value) rows.
+ValueVec ReducedRows(KeyedAccumulator<Value>* acc) {
+  return SortedRows(acc, [](auto& e) {
+    return Value::MakePair(std::move(e.key), std::move(e.payload));
+  });
+}
+
+/// CoGroup's finalizer: (key, (Bag-of-left, Bag-of-right)) rows.
+ValueVec CoGroupedRows(
+    KeyedAccumulator<std::pair<ValueVec, ValueVec>>* groups) {
+  return SortedRows(groups, [](auto& e) {
+    return Value::MakePair(
+        std::move(e.key),
+        Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
+                        Value::MakeBag(std::move(e.payload.second))));
+  });
+}
+
+/// Distinct's finalizer: the distinct rows in order.
+ValueVec DistinctRows(KeyedAccumulator<NoPayload>* seen) {
+  return SortedRows(seen, [](auto& e) { return std::move(e.key); });
+}
 
 std::vector<int64_t> RowCounts(const std::vector<ValueVec>& parts) {
   std::vector<int64_t> counts;
@@ -46,6 +79,14 @@ std::vector<int64_t> RowCounts(const std::vector<HashedVec>& parts) {
 
 std::vector<int64_t> RowCounts(const Dataset& ds) {
   return RowCounts(ds.partitions());
+}
+
+/// A narrow stage's stats: `map_work` per task, nothing shuffled.
+StageStats NarrowStats(std::string label, std::vector<int64_t> map_work) {
+  StageStats stats;
+  stats.label = std::move(label);
+  stats.map_work = std::move(map_work);
+  return stats;
 }
 
 /// Simulated scheduler backoff charged before retrying after `attempt`
@@ -351,7 +392,6 @@ Engine::Engine(EngineConfig config)
     // extra threads at fork time (a forked child inherits only the
     // calling thread, so a pool worker's locks would be orphaned).
     config_.host_threads = 1;
-    config_.persistent_pool = false;
   }
   // Real kills recover through lineage, so the recompute closures must
   // survive even with every simulated fault class disarmed.
@@ -400,50 +440,11 @@ Status Engine::RunPerPartition(int n,
     for (int i = 0; i < n; ++i) DIABLO_RETURN_IF_ERROR(fn(i));
     return Status::OK();
   }
-  if (config_.persistent_pool) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<WorkerPool>(config_.host_threads);
-    }
-    pool_tasks_pending_ += n;
-    return pool_->Run(n, fn);
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<WorkerPool>(config_.host_threads);
   }
-  // Spawn-per-wave baseline (AB7): fresh threads every call, same
-  // deterministic error selection as the pool — every partition below
-  // the lowest known failure runs, and the lowest-indexed failing
-  // partition's error is reported regardless of the thread race.
-  std::atomic<int> next{0};
-  std::atomic<int> error_bound{INT_MAX};
-  std::mutex mu;
-  int err_index = INT_MAX;
-  Status error;
-  auto worker = [&] {
-    for (;;) {
-      int i = next.fetch_add(1);
-      if (i >= n) return;
-      if (i >= error_bound.load()) continue;
-      Status st = fn(i);
-      if (!st.ok()) {
-        int cur = error_bound.load();
-        while (i < cur && !error_bound.compare_exchange_weak(cur, i)) {
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (i < err_index) {
-          err_index = i;
-          error = std::move(st);
-        }
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&worker, t] {
-      SetCurrentTraceWorker(t + 1);
-      worker();
-    });
-  }
-  for (auto& t : pool) t.join();
-  return error;
+  pool_tasks_pending_ += n;
+  return pool_->Run(n, fn);
 }
 
 Status Engine::RunTaskWave(const std::string& label, int stage,
@@ -889,246 +890,104 @@ std::shared_ptr<const LineageNode> Engine::MakeLineage(
 
 StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
                               const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kMap;
-    op.label = label;
-    op.map = fn;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        const ValueVec& rows = src.partition(p);
-        out[p].clear();
-        out[p].reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, fn(row));
-          out[p].push_back(std::move(v));
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats map_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  map_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(map_stats), rec);
-  auto lineage = MakeLineage(
-      "map", label, {src.lineage()},
-      [src, fn](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        rebuilt.reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, fn(row));
-          rebuilt.push_back(std::move(v));
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kMap;
+  op.label = label;
+  op.map = fn;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::MapValues(const Dataset& in, const MapFn& fn,
                                     const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kMapValues;
-    op.label = label;
-    op.map = fn;
-    return in.WithOp(std::move(op));
-  }
-  return Map(
-      in,
-      [fn](const Value& row) -> StatusOr<Value> {
-        if (!row.is_tuple() || row.tuple().size() != 2) {
-          return Status::RuntimeError(
-              StrCat("mapValues applied to non-pair row: ", row.ToString()));
-        }
-        DIABLO_ASSIGN_OR_RETURN(Value v, fn(row.tuple()[1]));
-        return Value::MakePair(row.tuple()[0], std::move(v));
-      },
-      label);
+  FusedOp op;
+  op.kind = FusedOp::Kind::kMapValues;
+  op.label = label;
+  op.map = fn;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::Filter(const Dataset& in, const PredFn& pred,
                                  const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kFilter;
-    op.label = label;
-    op.pred = pred;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        for (const Value& row : src.partition(p)) {
-          DIABLO_ASSIGN_OR_RETURN(bool keep, pred(row));
-          if (keep) out[p].push_back(row);
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats filter_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  filter_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(filter_stats), rec);
-  auto lineage = MakeLineage(
-      "filter", label, {src.lineage()},
-      [src, pred](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(bool keep, pred(row));
-          if (keep) rebuilt.push_back(row);
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kFilter;
+  op.label = label;
+  op.pred = pred;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::FlatMap(const Dataset& in, const FlatMapFn& fn,
                                   const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kFlatMap;
-    op.label = label;
-    op.flat = fn;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        for (const Value& row : src.partition(p)) {
-          DIABLO_ASSIGN_OR_RETURN(ValueVec vs, fn(row));
-          for (Value& v : vs) out[p].push_back(std::move(v));
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats flat_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  flat_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(flat_stats), rec);
-  auto lineage = MakeLineage(
-      "flatMap", label, {src.lineage()},
-      [src, fn](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(ValueVec vs, fn(row));
-          for (Value& v : vs) rebuilt.push_back(std::move(v));
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kFlatMap;
+  op.label = label;
+  op.flat = fn;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::Map(const Dataset& in, BinOp op, const Value& operand,
                               const std::string& label) {
-  Value captured = operand;
-  MapFn fn = [op, captured](const Value& row) {
-    return EvalBinOp(op, row, captured);
-  };
-  if (!config_.fuse_narrow) return Map(in, fn, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kMap;
   fop.label = label;
-  fop.map = std::move(fn);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
+  fop.map = [op, operand](const Value& row) {
+    return EvalBinOp(op, row, operand);
+  };
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/false};
   return in.WithOp(std::move(fop));
 }
 
 StatusOr<Dataset> Engine::MapValues(const Dataset& in, BinOp op,
                                     const Value& operand,
                                     const std::string& label) {
-  Value captured = operand;
-  // The fused kMapValues operator hands `map` the pair's value (see
-  // ApplyChain), so this closure sees the value directly.
-  MapFn fn = [op, captured](const Value& v) {
-    return EvalBinOp(op, v, captured);
-  };
-  if (!config_.fuse_narrow) return MapValues(in, fn, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kMapValues;
   fop.label = label;
-  fop.map = std::move(fn);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
+  // The fused kMapValues operator hands `map` the pair's value (see
+  // ApplyChain), so this closure sees the value directly.
+  fop.map = [op, operand](const Value& v) {
+    return EvalBinOp(op, v, operand);
+  };
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/true};
   return in.WithOp(std::move(fop));
 }
 
 StatusOr<Dataset> Engine::Filter(const Dataset& in, BinOp op,
                                  const Value& operand,
                                  const std::string& label) {
-  Value captured = operand;
-  PredFn pred = [op, captured](const Value& row) -> StatusOr<bool> {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row, captured));
+  FusedOp fop;
+  fop.kind = FusedOp::Kind::kFilter;
+  fop.label = label;
+  fop.pred = [op, operand](const Value& row) -> StatusOr<bool> {
+    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row, operand));
     if (!v.is_bool()) {
       return Status::RuntimeError(
           StrCat("filter predicate evaluated to non-bool: ", v.ToString()));
     }
     return v.AsBool();
   };
-  if (!config_.fuse_narrow) return Filter(in, pred, label);
-  FusedOp fop;
-  fop.kind = FusedOp::Kind::kFilter;
-  fop.label = label;
-  fop.pred = std::move(pred);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/false};
   return in.WithOp(std::move(fop));
 }
 
 StatusOr<Dataset> Engine::FilterValues(const Dataset& in, BinOp op,
                                        const Value& operand,
                                        const std::string& label) {
-  Value captured = operand;
-  PredFn pred = [op, captured](const Value& row) -> StatusOr<bool> {
+  FusedOp fop;
+  fop.kind = FusedOp::Kind::kFilter;
+  fop.label = label;
+  fop.pred = [op, operand](const Value& row) -> StatusOr<bool> {
     if (!row.is_tuple() || row.tuple().size() != 2) {
       return Status::RuntimeError(
           StrCat("filterValues applied to non-pair row: ", row.ToString()));
     }
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row.tuple()[1], captured));
+    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row.tuple()[1], operand));
     if (!v.is_bool()) {
       return Status::RuntimeError(
           StrCat("filter predicate evaluated to non-bool: ", v.ToString()));
     }
     return v.AsBool();
   };
-  if (!config_.fuse_narrow) return Filter(in, pred, label);
-  FusedOp fop;
-  fop.kind = FusedOp::Kind::kFilter;
-  fop.label = label;
-  fop.pred = std::move(pred);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/true};
   return in.WithOp(std::move(fop));
 }
 
@@ -1171,7 +1030,7 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
       },
       &rec, &slots);
   if (!st.ok()) return st;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  StageStats stats = NarrowStats(label, RowCounts(src));
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = RowCounts(out);
@@ -1282,7 +1141,7 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
   if (!st.ok()) return st;
   std::vector<ValueVec> out(n);
   for (int p = 0; p < n; ++p) batches[p].EmitRows(&out[p]);
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  StageStats stats = NarrowStats(label, RowCounts(src));
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = RowCounts(out);
@@ -1361,7 +1220,7 @@ StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
         // to its destination buffer hash-first, so the reduce side
         // never rehashes. `row_idx` numbers the scattered rows, so
         // corruption coordinates are independent of how the row was
-        // produced (fused, eager, or pre-combined).
+        // produced (fused or pre-combined).
         auto scatter = [&](size_t hash, const Value& row) -> Status {
           const int dst = HashDestination(hash, out_parts);
           // Rows that stay on the same simulated node are still
@@ -1650,7 +1509,6 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   int64_t bytes = 0;
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
                           ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   // Skew mitigation (DESIGN.md §17): a destination far above the mean
   // row count is split into contiguous row CHUNKS, each grouped by its
   // own virtual task; the driver then k-way merges the chunks' sorted
@@ -1682,35 +1540,17 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
         const HashedVec& part = shuffled[p];
         const auto [lo, hi] =
             ChunkRange(part.size(), salt.index_of[t], salt.fanout[p]);
-        if (hash_agg) {
-          // Values land per key in arrival order; the final sort
-          // canonicalizes the key order, matching the ordered map.
-          KeyedAccumulator<ValueVec> groups(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            const HashedRow& hr = part[i];
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          reduce_tallies[t].accumulator_bytes =
-              static_cast<int64_t>(groups.MemoryBytes());
-          groups.SortByKey();
-          sub_out[t].reserve(groups.size());
-          for (auto& e : groups.entries()) {
-            sub_out[t].push_back(Value::MakePair(
-                std::move(e.key), Value::MakeBag(std::move(e.payload))));
-          }
-        } else {
-          OrderedGroups groups;
-          for (size_t i = lo; i < hi; ++i) {
-            const ValueVec& kv = part[i].row.tuple();
-            groups[kv[0]].push_back(kv[1]);
-          }
-          sub_out[t].reserve(groups.size());
-          for (auto& [key, vals] : groups) {
-            sub_out[t].push_back(
-                Value::MakePair(key, Value::MakeBag(std::move(vals))));
-          }
+        // Values land per key in arrival order; the final sort
+        // canonicalizes the key order.
+        KeyedAccumulator<ValueVec> groups(hi - lo);
+        for (size_t i = lo; i < hi; ++i) {
+          const HashedRow& hr = part[i];
+          const ValueVec& kv = hr.row.tuple();
+          groups.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
         }
+        reduce_tallies[t].accumulator_bytes =
+            static_cast<int64_t>(groups.MemoryBytes());
+        sub_out[t] = GroupedRows(&groups);
         return Status::OK();
       },
       &rec, &reduce_slots);
@@ -1741,10 +1581,8 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   stats.salted_keys = salted_keys;
   stats.salt_fanout = salt.extra;
   for (const ChainTally& t : reduce_tallies) t.MergeInto(&stats);
-  if (hash_agg) {
-    for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   if (salt.active) {
     StageStats unsalt;
@@ -1788,12 +1626,7 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
         }
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          groups[i].SortByKey();
-          (*rebuilt)[i].reserve(groups[i].size());
-          for (auto& e : groups[i].entries()) {
-            (*rebuilt)[i].push_back(Value::MakePair(
-                std::move(e.key), Value::MakeBag(std::move(e.payload))));
-          }
+          (*rebuilt)[i] = GroupedRows(&groups[i]);
         }
         return Status::OK();
       },
@@ -1814,7 +1647,6 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   StageStats stats;
   DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, combine_stage, 0, &rec));
   const FusedChain& chain = src.chain();
-  const bool hash_agg = config_.hash_aggregation;
   // Typed aggregation (EngineConfig::columnar): a built-in op whose
   // key/value kinds columnarize folds with native arithmetic in the
   // same arrival order — bit-identical results, no per-row Value
@@ -1827,10 +1659,10 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       schema.value != ColumnTag::kString && schema.value != ColumnTag::kBool;
   // Map-side combine (like Spark): fold each input partition first so the
   // shuffle only moves one pair per (partition, key). Any pending fused
-  // chain runs element-by-element straight into the combine. Both paths
-  // emit the combined pairs in key order, so the merge side's arrival
-  // order — and with it every per-key float fold order — is identical
-  // whichever aggregation path runs.
+  // chain runs element-by-element straight into the combine. The typed
+  // and boxed accumulators both emit the combined pairs in key order, so
+  // the merge side's arrival order — and with it every per-key float
+  // fold order — is identical whichever accumulator runs.
   std::vector<HashedVec> shuffled;
   std::vector<TypedRows> typed_shuffled;
   bool use_typed_shuffle = false;
@@ -1853,7 +1685,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   // typed_shuffle_ok conjunct also keeps splits away from fault
   // injection, the wire format, and the remote backend.
   const bool combine_splittable =
-      hash_agg && typed_shuffle_ok && schema.value == ColumnTag::kInt64 &&
+      typed_shuffle_ok && schema.value == ColumnTag::kInt64 &&
       native_op != nullptr &&
       (*native_op == BinOp::kAdd || *native_op == BinOp::kMul ||
        *native_op == BinOp::kMin || *native_op == BinOp::kMax);
@@ -1871,217 +1703,171 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
     combine_work[t] = static_cast<int64_t>(hi - lo);
   }
   std::vector<ChainTally> tallies(num_combine);
-  if (hash_agg) {
-    std::vector<HashedVec> combined(num_combine);
-    std::vector<TypedRows> typed_combined(num_combine);
-    // Folds rows [lo, hi) of source partition p into output slot `slot`
-    // exactly as the unsplit combine folds a whole partition: wave
-    // tasks call it with their chunk, and the dirty-chunk fallback
-    // below re-runs it over a full partition.
-    auto combine_range = [&](int slot, int p, size_t lo,
-                             size_t hi) -> Status {
-      combined[slot].clear();
-      tallies[slot].Reset(chain.size());
-      KeyedAccumulator<Value> acc(hi - lo);
-      std::optional<TypedReduceAccumulator> typed;
-      if (try_typed) typed.emplace(*native_op, hi - lo);
-      int64_t boxed_rows = 0;
-      auto combine = [&](const Value& row) -> Status {
-        if (typed.has_value()) {
-          if (typed->Add(row)) return Status::OK();
-          // Deviating row: replay the typed state into the boxed
-          // accumulator (insertion order, hashes and payloads
-          // preserved) and continue boxed from this row.
-          typed->SpillTo(&acc);
-          typed.reset();
-        }
-        if (try_typed) ++boxed_rows;
-        DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
-        const size_t h = key->Hash();
-        auto ref = acc.FindOrCreate(h, *key);
-        if (ref.inserted) {
-          ref.payload = row.tuple()[1];
-        } else {
-          DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                  fn(ref.payload, row.tuple()[1]));
-        }
-        return Status::OK();
-      };
-      const ValueVec& part = src.partition(p);
-      if (typed.has_value() && chain.empty()) {
-        // No pending fused chain: fold the rows into the typed
-        // accumulator directly, skipping the per-row chain dispatch.
-        // A deviating row drops to the boxed `combine` from there.
-        size_t i = lo;
-        for (; i < hi; ++i) {
-          if (!typed->Add(part[i])) break;
-        }
-        for (; i < hi; ++i) {
-          DIABLO_RETURN_IF_ERROR(combine(part[i]));
-        }
-      } else {
-        for (size_t i = lo; i < hi; ++i) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(chain, 0, part[i], &tallies[slot], combine));
-        }
-      }
-      // Task-level accumulator watermark (the boxed accumulator always
-      // reserves its capacity, so both live footprints are summed);
-      // ChainTally carries it across the dist wire into
-      // StageStats::accumulator_bytes_peak.
-      tallies[slot].accumulator_bytes = static_cast<int64_t>(
-          acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+  std::vector<HashedVec> combined(num_combine);
+  std::vector<TypedRows> typed_combined(num_combine);
+  // Folds rows [lo, hi) of source partition p into output slot `slot`
+  // exactly as the unsplit combine folds a whole partition: wave
+  // tasks call it with their chunk, and the dirty-chunk fallback
+  // below re-runs it over a full partition.
+  auto combine_range = [&](int slot, int p, size_t lo, size_t hi) -> Status {
+    combined[slot].clear();
+    tallies[slot].Reset(chain.size());
+    KeyedAccumulator<Value> acc(hi - lo);
+    std::optional<TypedReduceAccumulator> typed;
+    if (try_typed) typed.emplace(*native_op, hi - lo);
+    int64_t boxed_rows = 0;
+    auto combine = [&](const Value& row) -> Status {
       if (typed.has_value()) {
-        typed_combined[slot] = TypedRows();
-        if (!typed_shuffle_ok ||
-            !typed->EmitSortedTyped(&typed_combined[slot])) {
-          typed->EmitSortedHashed(&combined[slot]);
-        }
-        if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
-      } else {
-        acc.SortByKey();
-        combined[slot].reserve(acc.size());
-        for (auto& e : acc.entries()) {
-          combined[slot].push_back(HashedRow{
-              e.hash,
-              Value::MakePair(std::move(e.key), std::move(e.payload))});
-        }
+        if (typed->Add(row)) return Status::OK();
+        // Deviating row: replay the typed state into the boxed
+        // accumulator (insertion order, hashes and payloads
+        // preserved) and continue boxed from this row.
+        typed->SpillTo(&acc);
+        typed.reset();
       }
-      tallies[slot].columnar_rows_fallback += boxed_rows;
+      if (try_typed) ++boxed_rows;
+      DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
+      const size_t h = key->Hash();
+      auto ref = acc.FindOrCreate(h, *key);
+      if (ref.inserted) {
+        ref.payload = row.tuple()[1];
+      } else {
+        DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, row.tuple()[1]));
+      }
       return Status::OK();
     };
-    WaveSlots combine_slots;
-    combine_slots.hashed = &combined;
-    combine_slots.tallies = &tallies;
-    st = RunTaskWave(
-        label + ".combine", combine_stage, combine_work,
-        [&](int t, int) -> Status {
-          const int p = combine_salt.task_of[t];
-          const auto [lo, hi] =
-              ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
-                         combine_salt.fanout[p]);
-          return combine_range(t, p, lo, hi);
-        },
-        &rec, &combine_slots);
-    if (!st.ok()) return st;
-    // A split is only exact while every chunk of the partition stayed
-    // on the typed int64 path. A chunk that bounced — boxed rows, or a
-    // payload that turned out non-int64 at runtime — re-runs its whole
-    // source partition unsplit on the driver (rare by construction: the
-    // plan-time schema already claimed int64), zeroing the sibling
-    // chunk slots so the empty chunks contribute nothing downstream.
-    if (combine_salt.active) {
-      for (int p = 0; p < src.num_partitions(); ++p) {
-        if (combine_salt.fanout[p] == 1) continue;
-        bool clean = true;
-        for (int s = 0; s < combine_salt.fanout[p] && clean; ++s) {
-          const int t = combine_salt.first[p] + s;
-          if (!combined[t].empty() ||
-              (typed_combined[t].size() > 0 &&
-               typed_combined[t].payload_mode != TypedPayloadMode::kInt64)) {
-            clean = false;
-          }
-        }
-        if (clean) continue;
-        for (int s = 1; s < combine_salt.fanout[p]; ++s) {
-          const int t = combine_salt.first[p] + s;
-          combined[t].clear();
-          typed_combined[t] = TypedRows();
-          tallies[t].Reset(chain.size());
-        }
-        DIABLO_RETURN_IF_ERROR(combine_range(combine_salt.first[p], p, 0,
-                                             src.partition(p).size()));
+    const ValueVec& part = src.partition(p);
+    if (typed.has_value() && chain.empty()) {
+      // No pending fused chain: fold the rows into the typed
+      // accumulator directly, skipping the per-row chain dispatch.
+      // A deviating row drops to the boxed `combine` from there.
+      size_t i = lo;
+      for (; i < hi; ++i) {
+        if (!typed->Add(part[i])) break;
       }
-    }
-    stats.fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(&stats);
-    for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
-    // The typed shuffle needs every non-empty combine output typed with
-    // one key/payload shape; a spilled or string-keyed partition drops
-    // the whole operator back to boxed rows (the typed ones re-box).
-    if (typed_shuffle_ok) {
-      use_typed_shuffle = true;
-      TypedKeyMode kmode = TypedKeyMode::kNone;
-      TypedPayloadMode pmode = TypedPayloadMode::kNone;
-      for (int t = 0; t < num_combine; ++t) {
-        if (!combined[t].empty()) {
-          use_typed_shuffle = false;
-          break;
-        }
-        const TypedRows& tc = typed_combined[t];
-        if (tc.size() == 0) continue;
-        if (kmode == TypedKeyMode::kNone) {
-          kmode = tc.key_mode;
-          pmode = tc.payload_mode;
-        } else if (tc.key_mode != kmode || tc.payload_mode != pmode) {
-          use_typed_shuffle = false;
-          break;
-        }
+      for (; i < hi; ++i) {
+        DIABLO_RETURN_IF_ERROR(combine(part[i]));
       }
-      if (!use_typed_shuffle) {
-        for (int t = 0; t < num_combine; ++t) {
-          typed_combined[t].EmitHashed(&combined[t]);
-          typed_combined[t] = TypedRows();
-        }
-      }
-    }
-    int64_t combined_keys = 0;
-    for (int t = 0; t < num_combine; ++t) {
-      combined_keys += static_cast<int64_t>(combined[t].size()) +
-                       static_cast<int64_t>(typed_combined[t].size());
-    }
-    stats.hash_agg_keys += combined_keys;
-    // The combined pairs carry their memoized key hashes straight into
-    // the scatter: no key is hashed twice anywhere in this operator.
-    if (use_typed_shuffle) {
-      DIABLO_ASSIGN_OR_RETURN(typed_shuffled,
-                              ShuffleTyped(typed_combined, shuffle_stage,
-                                           &bytes, &rec, &stats));
     } else {
-      DIABLO_ASSIGN_OR_RETURN(shuffled,
-                              ShuffleHashed(combined, shuffle_stage, &bytes,
-                                            &rec, &stats));
+      for (size_t i = lo; i < hi; ++i) {
+        DIABLO_RETURN_IF_ERROR(
+            ApplyChain(chain, 0, part[i], &tallies[slot], combine));
+      }
     }
+    // Task-level accumulator watermark (the boxed accumulator always
+    // reserves its capacity, so both live footprints are summed);
+    // ChainTally carries it across the dist wire into
+    // StageStats::accumulator_bytes_peak.
+    tallies[slot].accumulator_bytes = static_cast<int64_t>(
+        acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+    if (typed.has_value()) {
+      typed_combined[slot] = TypedRows();
+      if (!typed_shuffle_ok || !typed->EmitSortedTyped(&typed_combined[slot])) {
+        typed->EmitSortedHashed(&combined[slot]);
+      }
+      if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
+    } else {
+      acc.SortByKey();
+      combined[slot].reserve(acc.size());
+      for (auto& e : acc.entries()) {
+        combined[slot].push_back(HashedRow{
+            e.hash, Value::MakePair(std::move(e.key), std::move(e.payload))});
+      }
+    }
+    tallies[slot].columnar_rows_fallback += boxed_rows;
+    return Status::OK();
+  };
+  WaveSlots combine_slots;
+  combine_slots.hashed = &combined;
+  combine_slots.tallies = &tallies;
+  st = RunTaskWave(
+      label + ".combine", combine_stage, combine_work,
+      [&](int t, int) -> Status {
+        const int p = combine_salt.task_of[t];
+        const auto [lo, hi] =
+            ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
+                       combine_salt.fanout[p]);
+        return combine_range(t, p, lo, hi);
+      },
+      &rec, &combine_slots);
+  if (!st.ok()) return st;
+  // A split is only exact while every chunk of the partition stayed
+  // on the typed int64 path. A chunk that bounced — boxed rows, or a
+  // payload that turned out non-int64 at runtime — re-runs its whole
+  // source partition unsplit on the driver (rare by construction: the
+  // plan-time schema already claimed int64), zeroing the sibling
+  // chunk slots so the empty chunks contribute nothing downstream.
+  if (combine_salt.active) {
+    for (int p = 0; p < src.num_partitions(); ++p) {
+      if (combine_salt.fanout[p] == 1) continue;
+      bool clean = true;
+      for (int s = 0; s < combine_salt.fanout[p] && clean; ++s) {
+        const int t = combine_salt.first[p] + s;
+        if (!combined[t].empty() ||
+            (typed_combined[t].size() > 0 &&
+             typed_combined[t].payload_mode != TypedPayloadMode::kInt64)) {
+          clean = false;
+        }
+      }
+      if (clean) continue;
+      for (int s = 1; s < combine_salt.fanout[p]; ++s) {
+        const int t = combine_salt.first[p] + s;
+        combined[t].clear();
+        typed_combined[t] = TypedRows();
+        tallies[t].Reset(chain.size());
+      }
+      DIABLO_RETURN_IF_ERROR(combine_range(combine_salt.first[p], p, 0,
+                                           src.partition(p).size()));
+    }
+  }
+  stats.fused_ops += static_cast<int64_t>(chain.size());
+  for (const ChainTally& t : tallies) t.MergeInto(&stats);
+  for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
+  // The typed shuffle needs every non-empty combine output typed with
+  // one key/payload shape; a spilled or string-keyed partition drops
+  // the whole operator back to boxed rows (the typed ones re-box).
+  if (typed_shuffle_ok) {
+    use_typed_shuffle = true;
+    TypedKeyMode kmode = TypedKeyMode::kNone;
+    TypedPayloadMode pmode = TypedPayloadMode::kNone;
+    for (int t = 0; t < num_combine; ++t) {
+      if (!combined[t].empty()) {
+        use_typed_shuffle = false;
+        break;
+      }
+      const TypedRows& tc = typed_combined[t];
+      if (tc.size() == 0) continue;
+      if (kmode == TypedKeyMode::kNone) {
+        kmode = tc.key_mode;
+        pmode = tc.payload_mode;
+      } else if (tc.key_mode != kmode || tc.payload_mode != pmode) {
+        use_typed_shuffle = false;
+        break;
+      }
+    }
+    if (!use_typed_shuffle) {
+      for (int t = 0; t < num_combine; ++t) {
+        typed_combined[t].EmitHashed(&combined[t]);
+        typed_combined[t] = TypedRows();
+      }
+    }
+  }
+  int64_t combined_keys = 0;
+  for (int t = 0; t < num_combine; ++t) {
+    combined_keys += static_cast<int64_t>(combined[t].size()) +
+                     static_cast<int64_t>(typed_combined[t].size());
+  }
+  stats.hash_agg_keys += combined_keys;
+  // The combined pairs carry their memoized key hashes straight into
+  // the scatter: no key is hashed twice anywhere in this operator.
+  if (use_typed_shuffle) {
+    DIABLO_ASSIGN_OR_RETURN(typed_shuffled,
+                            ShuffleTyped(typed_combined, shuffle_stage,
+                                         &bytes, &rec, &stats));
   } else {
-    std::vector<ValueVec> combined(src.num_partitions());
-    WaveSlots combine_slots;
-    combine_slots.rows = &combined;
-    combine_slots.tallies = &tallies;
-    st = RunTaskWave(
-        label + ".combine", combine_stage, RowCounts(src),
-        [&](int p, int) -> Status {
-          combined[p].clear();
-          tallies[p].Reset(chain.size());
-          OrderedGroups acc;
-          auto combine = [&](const Value& row) -> Status {
-            DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
-            auto it = acc.find(*key);
-            if (it == acc.end()) {
-              acc.emplace(*key, ValueVec{row.tuple()[1]});
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(it->second[0],
-                                      fn(it->second[0], row.tuple()[1]));
-            }
-            return Status::OK();
-          };
-          for (const Value& row : src.partition(p)) {
-            DIABLO_RETURN_IF_ERROR(
-                ApplyChain(chain, 0, row, &tallies[p], combine));
-          }
-          combined[p].reserve(acc.size());
-          for (auto& [key, vals] : acc) {
-            combined[p].push_back(Value::MakePair(key, std::move(vals[0])));
-          }
-          return Status::OK();
-        },
-        &rec, &combine_slots);
-    if (!st.ok()) return st;
-    stats.fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(&stats);
-    Dataset combined_ds(std::move(combined));
-    DIABLO_ASSIGN_OR_RETURN(
-        shuffled, ShuffleWave(combined_ds, shuffle_stage, &bytes, &rec,
-                              &stats));
+    DIABLO_ASSIGN_OR_RETURN(shuffled,
+                            ShuffleHashed(combined, shuffle_stage, &bytes,
+                                          &rec, &stats));
   }
   std::vector<int64_t> shuffled_counts;
   if (use_typed_shuffle) {
@@ -2170,64 +1956,41 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
           return Status::OK();
         }
         const HashedVec& part = hashed_parts[t];
-        if (hash_agg) {
-          KeyedAccumulator<Value> acc(part.size());
-          std::optional<TypedReduceAccumulator> typed;
-          if (try_typed) typed.emplace(*native_op, part.size());
-          int64_t boxed_rows = 0;
-          size_t i = 0;
-          if (typed.has_value()) {
-            // The hash crossed the shuffle with the row: trust it.
-            for (; i < part.size(); ++i) {
-              const HashedRow& hr = part[i];
-              if (!typed->AddHashed(hr.hash, hr.row)) break;
-            }
-            if (i == part.size()) {
-              reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-                  acc.MemoryBytes() + typed->MemoryBytes());
-              typed->EmitSortedRows(&sub_out[t]);
-              if (typed->rows() > 0) reduce_tallies[t].columnar_batches += 1;
-              return Status::OK();
-            }
-            typed->SpillTo(&acc);
-          }
+        KeyedAccumulator<Value> acc(part.size());
+        std::optional<TypedReduceAccumulator> typed;
+        if (try_typed) typed.emplace(*native_op, part.size());
+        int64_t boxed_rows = 0;
+        size_t i = 0;
+        if (typed.has_value()) {
+          // The hash crossed the shuffle with the row: trust it.
           for (; i < part.size(); ++i) {
             const HashedRow& hr = part[i];
-            if (try_typed) ++boxed_rows;
-            const ValueVec& kv = hr.row.tuple();
-            auto ref = acc.FindOrCreate(hr.hash, kv[0]);
-            if (ref.inserted) {
-              ref.payload = kv[1];
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, kv[1]));
-            }
+            if (!typed->AddHashed(hr.hash, hr.row)) break;
           }
-          reduce_tallies[t].columnar_rows_fallback += boxed_rows;
-          reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-              acc.MemoryBytes() +
-              (typed.has_value() ? typed->MemoryBytes() : 0));
-          acc.SortByKey();
-          sub_out[t].reserve(acc.size());
-          for (auto& e : acc.entries()) {
-            sub_out[t].push_back(
-                Value::MakePair(std::move(e.key), std::move(e.payload)));
+          if (i == part.size()) {
+            reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
+                acc.MemoryBytes() + typed->MemoryBytes());
+            typed->EmitSortedRows(&sub_out[t]);
+            if (typed->rows() > 0) reduce_tallies[t].columnar_batches += 1;
+            return Status::OK();
           }
-        } else {
-          OrderedGroups acc;
-          for (const HashedRow& hr : part) {
-            const ValueVec& kv = hr.row.tuple();
-            auto it = acc.find(kv[0]);
-            if (it == acc.end()) {
-              acc.emplace(kv[0], ValueVec{kv[1]});
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(it->second[0], fn(it->second[0], kv[1]));
-            }
-          }
-          sub_out[t].reserve(acc.size());
-          for (auto& [key, vals] : acc) {
-            sub_out[t].push_back(Value::MakePair(key, std::move(vals[0])));
+          typed->SpillTo(&acc);
+        }
+        for (; i < part.size(); ++i) {
+          const HashedRow& hr = part[i];
+          if (try_typed) ++boxed_rows;
+          const ValueVec& kv = hr.row.tuple();
+          auto ref = acc.FindOrCreate(hr.hash, kv[0]);
+          if (ref.inserted) {
+            ref.payload = kv[1];
+          } else {
+            DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, kv[1]));
           }
         }
+        reduce_tallies[t].columnar_rows_fallback += boxed_rows;
+        reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
+            acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+        sub_out[t] = ReducedRows(&acc);
         return Status::OK();
       },
       &rec, &reduce_slots);
@@ -2260,10 +2023,8 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   // in the reduce stage itself), so salted_keys stays 0 here — only
   // groupByKey's bag-concat un-salt reports it.
   stats.salt_fanout = combine_salt.extra + reduce_salt.extra;
-  if (hash_agg) {
-    for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   if (reduce_salt.active) {
     StageStats unsalt;
@@ -2327,12 +2088,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
         }
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          acc[i].SortByKey();
-          (*rebuilt)[i].reserve(acc[i].size());
-          for (auto& e : acc[i].entries()) {
-            (*rebuilt)[i].push_back(
-                Value::MakePair(std::move(e.key), std::move(e.payload)));
-          }
+          (*rebuilt)[i] = ReducedRows(&acc[i]);
         }
         return Status::OK();
       },
@@ -2372,7 +2128,6 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
                           ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
                           ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(ls.size());
   std::vector<int64_t> reduce_work(ls.size(), 0);
   WaveSlots join_slots;
@@ -2383,43 +2138,23 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
       [&](int p, int) -> Status {
         out[p].clear();
         reduce_work[p] = static_cast<int64_t>(ls[p].size());
-        if (hash_agg) {
-          // Build from the left rows in arrival order, probe with the
-          // right rows in arrival order: the output sequence is the
-          // probe order either way, so no final sort is needed to match
-          // the ordered-map path. Both sides reuse the carried hashes.
-          KeyedAccumulator<ValueVec> build(ls[p].size());
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
+        // Build from the left rows in arrival order, probe with the right
+        // rows in arrival order: the output sequence is the probe order,
+        // so no final sort is needed. Both sides reuse the carried hashes.
+        KeyedAccumulator<ValueVec> build(ls[p].size());
+        for (const HashedRow& hr : ls[p]) {
+          const ValueVec& kv = hr.row.tuple();
+          build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
+        }
+        for (const HashedRow& hr : rs[p]) {
+          const ValueVec& kv = hr.row.tuple();
+          reduce_work[p] += 1;
+          ValueVec* lvs = build.Find(hr.hash, kv[0]);
+          if (lvs == nullptr) continue;
+          for (const Value& lv : *lvs) {
+            out[p].push_back(
+                Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
             reduce_work[p] += 1;
-            ValueVec* lvs = build.Find(hr.hash, kv[0]);
-            if (lvs == nullptr) continue;
-            for (const Value& lv : *lvs) {
-              out[p].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-              reduce_work[p] += 1;
-            }
-          }
-        } else {
-          OrderedGroups build;
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            build[kv[0]].push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            reduce_work[p] += 1;
-            auto it = build.find(kv[0]);
-            if (it == build.end()) continue;
-            for (const Value& lv : it->second) {
-              out[p].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-              reduce_work[p] += 1;
-            }
           }
         }
         return Status::OK();
@@ -2433,9 +2168,7 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
   stats.reduce_work = std::move(reduce_work);
   stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
-  }
+  for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   const int chain_depth = static_cast<int>(
@@ -2514,7 +2247,6 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
                           ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
                           ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(ls.size());
   std::vector<int64_t> reduce_work(ls.size(), 0);
   WaveSlots cg_slots;
@@ -2526,44 +2258,17 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
         out[p].clear();
         reduce_work[p] = static_cast<int64_t>(ls[p].size()) +
                          static_cast<int64_t>(rs[p].size());
-        if (hash_agg) {
-          KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(
-              ls[p].size() + rs[p].size());
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0])
-                .payload.first.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0])
-                .payload.second.push_back(kv[1]);
-          }
-          groups.SortByKey();
-          out[p].reserve(groups.size());
-          for (auto& e : groups.entries()) {
-            out[p].push_back(Value::MakePair(
-                std::move(e.key),
-                Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
-                                Value::MakeBag(std::move(e.payload.second)))));
-          }
-          return Status::OK();
-        }
-        std::map<Value, std::pair<ValueVec, ValueVec>> groups;
+        KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(
+            ls[p].size() + rs[p].size());
         for (const HashedRow& hr : ls[p]) {
           const ValueVec& kv = hr.row.tuple();
-          groups[kv[0]].first.push_back(kv[1]);
+          groups.FindOrCreate(hr.hash, kv[0]).payload.first.push_back(kv[1]);
         }
         for (const HashedRow& hr : rs[p]) {
           const ValueVec& kv = hr.row.tuple();
-          groups[kv[0]].second.push_back(kv[1]);
+          groups.FindOrCreate(hr.hash, kv[0]).payload.second.push_back(kv[1]);
         }
-        out[p].reserve(groups.size());
-        for (auto& [key, sides] : groups) {
-          out[p].push_back(Value::MakePair(
-              key, Value::MakePair(Value::MakeBag(std::move(sides.first)),
-                                   Value::MakeBag(std::move(sides.second)))));
-        }
+        out[p] = CoGroupedRows(&groups);
         return Status::OK();
       },
       &rec, &cg_slots);
@@ -2575,10 +2280,8 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
   stats.reduce_work = std::move(reduce_work);
   stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   const int chain_depth = static_cast<int>(
@@ -2621,14 +2324,7 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
         DIABLO_RETURN_IF_ERROR(scatter(r, /*is_left=*/false));
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          groups[i].SortByKey();
-          (*rebuilt)[i].reserve(groups[i].size());
-          for (auto& e : groups[i].entries()) {
-            (*rebuilt)[i].push_back(Value::MakePair(
-                std::move(e.key),
-                Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
-                                Value::MakeBag(std::move(e.payload.second)))));
-          }
+          (*rebuilt)[i] = CoGroupedRows(&groups[i]);
         }
         return Status::OK();
       },
@@ -2654,7 +2350,7 @@ StatusOr<Dataset> Engine::Union(const Dataset& in_a, const Dataset& in_b) {
   for (int p = 0; p < b.num_partitions(); ++p) {
     for (const Value& v : b.partition(p)) out[p].push_back(v);
   }
-  StageStats union_stats{"union", /*wide=*/false, RowCounts(out), {}, 0};
+  StageStats union_stats = NarrowStats("union", RowCounts(out));
   union_stats.partition_rows = RowCounts(out);
   FinishStage(std::move(union_stats), StageRecovery());
   auto lineage = MakeLineage(
@@ -2696,7 +2392,6 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   int64_t bytes = 0;
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
                           ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(shuffled.size());
   WaveSlots dedup_slots;
   dedup_slots.rows = &out;
@@ -2704,22 +2399,11 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
       label, dedup_stage, RowCounts(shuffled),
       [&](int p, int) -> Status {
         out[p].clear();
-        if (hash_agg) {
-          KeyedAccumulator<NoPayload> seen(shuffled[p].size());
-          for (const HashedRow& hr : shuffled[p]) {
-            seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
-          }
-          seen.SortByKey();
-          out[p].reserve(seen.size());
-          for (auto& e : seen.entries()) out[p].push_back(std::move(e.key));
-          return Status::OK();
-        }
-        std::map<Value, bool> seen;
+        KeyedAccumulator<NoPayload> seen(shuffled[p].size());
         for (const HashedRow& hr : shuffled[p]) {
-          seen.emplace(hr.row.tuple()[0], true);
+          seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
         }
-        out[p].reserve(seen.size());
-        for (auto& [v, unused] : seen) out[p].push_back(v);
+        out[p] = DistinctRows(&seen);
         return Status::OK();
       },
       &rec, &dedup_slots);
@@ -2730,10 +2414,8 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   stats.reduce_work = RowCounts(shuffled);
   stats.shuffle_bytes = bytes;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   auto lineage = MakeLineage(
@@ -2765,11 +2447,7 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
         }
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          seen[i].SortByKey();
-          (*rebuilt)[i].reserve(seen[i].size());
-          for (auto& e : seen[i].entries()) {
-            (*rebuilt)[i].push_back(std::move(e.key));
-          }
+          (*rebuilt)[i] = DistinctRows(&seen[i]);
         }
         return Status::OK();
       },
@@ -2827,7 +2505,8 @@ StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
   if (!st.ok()) return st;
   int64_t total_bytes = 0;
   for (int64_t b : written) total_bytes += b;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, total_bytes};
+  StageStats stats = NarrowStats(label, RowCounts(src));
+  stats.shuffle_bytes = total_bytes;
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = chain.empty() ? RowCounts(src) : RowCounts(out);
@@ -2879,7 +2558,7 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in,
       },
       &rec, &reduce_slots);
   if (!st.ok()) return st;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  StageStats stats = NarrowStats(label, RowCounts(src));
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   FinishStage(std::move(stats), rec);
@@ -2955,7 +2634,7 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
       },
       &rec, &reduce_slots);
   if (!st.ok()) return st;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  StageStats stats = NarrowStats(label, RowCounts(src));
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   FinishStage(std::move(stats), rec);
@@ -2992,7 +2671,7 @@ StatusOr<Value> Engine::First(const Dataset& in) {
 StatusOr<int64_t> Engine::Count(const Dataset& in) {
   ScopedSpan stage_span(trace(), SpanKind::kStage, "count");
   DIABLO_ASSIGN_OR_RETURN(Dataset src, Force(in));
-  StageStats count_stats{"count", /*wide=*/false, RowCounts(src), {}, 0};
+  StageStats count_stats = NarrowStats("count", RowCounts(src));
   count_stats.partition_rows = RowCounts(src);
   FinishStage(std::move(count_stats), StageRecovery());
   return src.TotalRows();

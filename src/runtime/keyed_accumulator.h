@@ -32,9 +32,8 @@ using HashedVec = std::vector<HashedRow>;
 ///  - deterministic output: entries are kept in insertion order (a flat
 ///    vector) and the probe table only stores indices into it, so
 ///    iteration never depends on hash order. SortByKey() canonicalizes
-///    terminal output by Value::Compare, which makes results
-///    byte-identical to the ordered-map (std::map<Value, ...>) path this
-///    table replaced;
+///    terminal output by Value::Compare, so results do not depend on
+///    hash values or table size;
 ///  - single pass, no per-node allocation: linear probing over a
 ///    power-of-two slot array of uint32 entry indices.
 ///

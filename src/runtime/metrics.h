@@ -36,24 +36,23 @@ struct StageStats {
   double recovery_seconds = 0;
   /// Narrow-operator fusion accounting. `fused_ops` is the number of
   /// deferred narrow operators this stage executed element-by-element
-  /// inside its task wave (0 for eager stages). The rows/bytes fields
-  /// count the intermediate results an eager per-operator engine would
-  /// have built as full ValueVec datasets between those operators but
-  /// which this stage streamed through without materializing (bytes are
-  /// estimated from the first row crossing each operator boundary).
+  /// inside its task wave. The rows/bytes fields count the intermediate
+  /// results a one-stage-per-operator engine would have built as full
+  /// ValueVec datasets between those operators but which this stage
+  /// streamed through without materializing (bytes are estimated from
+  /// the first row crossing each operator boundary).
   int64_t fused_ops = 0;
   int64_t rows_not_materialized = 0;
   int64_t bytes_not_materialized = 0;
   /// Hash-aggregation accounting (runtime/keyed_accumulator.h). Rows
   /// inserted into open-addressing KeyedAccumulators while executing
   /// this stage (combine + reduce side), and distinct keys they
-  /// produced. Both 0 when EngineConfig::hash_aggregation is off or the
-  /// stage has no keyed aggregation.
+  /// produced. Both 0 when the stage has no keyed aggregation.
   int64_t hash_agg_rows = 0;
   int64_t hash_agg_keys = 0;
   /// Tasks this stage ran on the persistent work-stealing WorkerPool
-  /// (0 when EngineConfig::persistent_pool is off, host_threads <= 1,
-  /// or the waves were too small to parallelize).
+  /// (0 when host_threads <= 1 or the waves were too small to
+  /// parallelize).
   int64_t pool_tasks = 0;
   /// Columnar-execution accounting (runtime/column_batch.h, under
   /// EngineConfig::columnar). `columnar_batches` counts partition

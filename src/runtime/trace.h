@@ -168,7 +168,7 @@ class ScopedSpan {
 };
 
 /// Worker id of the calling thread for task spans: 0 for the driver (and
-/// for tasks run inline on it), 1.. for pool / spawned worker threads.
+/// for tasks run inline on it), 1.. for pool worker threads.
 /// Set once per worker thread by the thread's run loop.
 int CurrentTraceWorker();
 void SetCurrentTraceWorker(int worker);

@@ -4,8 +4,7 @@
 // vectorized shuffle scatter, the typed reduceByKey combine and the
 // typed scalar fold — carry one contract: byte-identical results to the
 // boxed per-row engine for every workload, partition count, host thread
-// count, fusion/hash-agg setting, fault schedule and distributed chaos
-// kill. Rows the typed paths cannot represent must spill to boxed
+// count, fault schedule and distributed chaos kill. Rows the typed paths cannot represent must spill to boxed
 // mid-stream without consuming or reordering anything.
 
 #include "runtime/column_batch.h"
@@ -16,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "dist/coordinator.h"
 #include "runtime/engine.h"
 #include "runtime/fault.h"
@@ -194,7 +194,7 @@ TEST(ColumnBatchTest, CompactPreservesSurvivorOrderForEveryTag) {
       switch (shape) {
         case 0: batch.values.Append(I(i * 11 - 40)); break;
         case 1: batch.values.Append(D(i * 0.75)); break;
-        case 2: batch.values.Append(S("w" + std::to_string(i % 5))); break;
+        case 2: batch.values.Append(S(StrCat("w", i % 5))); break;
         case 3: batch.values.Append(Value::MakeBool(i % 3 == 0)); break;
         default:
           batch.pairs = true;
@@ -498,29 +498,22 @@ TEST(ColumnarProperty, ColumnarMatchesBoxedByteForByte) {
       ValueVec rows = WorkloadInput(which, rng);
       const int parts = 1 + static_cast<int>(rng() % 12);
       for (int host_threads : {1, 4}) {
-        for (bool fuse : {true, false}) {
-          for (bool hash_agg : {true, false}) {
-            EngineConfig col_config;
-            col_config.num_partitions = parts;
-            col_config.host_threads = host_threads;
-            col_config.fuse_narrow = fuse;
-            col_config.hash_aggregation = hash_agg;
-            col_config.columnar = true;
-            EngineConfig boxed_config = col_config;
-            boxed_config.columnar = false;
+        EngineConfig col_config;
+        col_config.num_partitions = parts;
+        col_config.host_threads = host_threads;
+        col_config.columnar = true;
+        EngineConfig boxed_config = col_config;
+        boxed_config.columnar = false;
 
-            Engine columnar(col_config), boxed(boxed_config);
-            auto col_out = RunWorkload(columnar, which, rows);
-            auto boxed_out = RunWorkload(boxed, which, rows);
-            ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
-            ASSERT_TRUE(boxed_out.ok()) << boxed_out.status().ToString();
-            EXPECT_EQ(*col_out, *boxed_out)
-                << "workload " << which << " seed " << seed << " threads "
-                << host_threads << " fuse " << fuse << " hash_agg "
-                << hash_agg;
-            EXPECT_EQ(boxed.metrics().total_columnar_batches(), 0);
-          }
-        }
+        Engine columnar(col_config), boxed(boxed_config);
+        auto col_out = RunWorkload(columnar, which, rows);
+        auto boxed_out = RunWorkload(boxed, which, rows);
+        ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
+        ASSERT_TRUE(boxed_out.ok()) << boxed_out.status().ToString();
+        EXPECT_EQ(*col_out, *boxed_out)
+            << "workload " << which << " seed " << seed << " threads "
+            << host_threads;
+        EXPECT_EQ(boxed.metrics().total_columnar_batches(), 0);
       }
     }
   }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/strings.h"
 #include "runtime/operators.h"
 
 namespace diablo::runtime {
@@ -175,9 +176,13 @@ TEST_P(EngineParamTest, CoGroupCoversBothSides) {
     int64_t key = row.tuple()[0].AsInt();
     size_t nl = row.tuple()[1].tuple()[0].bag().size();
     size_t nr = row.tuple()[1].tuple()[1].bag().size();
-    if (key == 1) EXPECT_TRUE(nl == 1 && nr == 0);
-    if (key == 2) EXPECT_TRUE(nl == 1 && nr == 1);
-    if (key == 3) EXPECT_TRUE(nl == 0 && nr == 1);
+    if (key == 1) {
+      EXPECT_TRUE(nl == 1 && nr == 0);
+    } else if (key == 2) {
+      EXPECT_TRUE(nl == 1 && nr == 1);
+    } else if (key == 3) {
+      EXPECT_TRUE(nl == 0 && nr == 1);
+    }
   }
 }
 
@@ -241,8 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineParams{8, 1}, EngineParams{3, 1},
                       EngineParams{8, 2}, EngineParams{16, 4}),
     [](const ::testing::TestParamInfo<EngineParams>& info) {
-      return "p" + std::to_string(info.param.partitions) + "t" +
-             std::to_string(info.param.threads);
+      return StrCat("p", info.param.partitions, "t", info.param.threads);
     });
 
 // Stress: a pipeline mixing wide and narrow operators under real host

@@ -1,20 +1,23 @@
 // Narrow-stage fusion property tests: randomized chains of narrow
-// operators terminated by a random action must produce byte-identical
-// results whether the chain is fused into the next stage boundary
-// (fuse_narrow = true, the default) or materialized one ValueVec per
-// operator (the eager engine) — and, with fault injection on top, a
-// fused run that completes must still equal the fault-free fused run
-// exactly. Also checks the fused-stage observability metrics.
+// operators terminated by a random action, fused into the next stage
+// boundary, must produce byte-identical results to a sequential oracle
+// that applies each operator eagerly, one row at a time
+// (tests/seq_oracle.h) — and, with fault injection on top, a fused run
+// that completes must still equal the fault-free run exactly. Also
+// checks the fused-stage observability metrics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/engine.h"
 #include "runtime/fault.h"
+#include "tests/seq_oracle.h"
 
 namespace diablo::runtime {
 namespace {
@@ -33,52 +36,38 @@ ValueVec RandomPairs(std::mt19937_64& rng, int n, int keys) {
   return rows;
 }
 
+// The four narrow operators of the random programs, over (int, double)
+// pairs. The engine and the oracle call the exact same functions, so any
+// divergence comes from execution strategy, never from the program.
+StatusOr<Value> MapRow(const Value& v) {
+  return Value::MakePair(v.tuple()[0],
+                         D(v.tuple()[1].AsDouble() * 1.25 +
+                           static_cast<double>(v.tuple()[0].AsInt())));
+}
+StatusOr<Value> MapValue(const Value& v) { return D(v.AsDouble() * 0.5 - 3.0); }
+StatusOr<bool> KeepRow(const Value& v) {
+  return v.tuple()[1].AsDouble() > -40.0;
+}
+StatusOr<ValueVec> FlatMapRow(const Value& v) {
+  ValueVec out{v};
+  if (v.tuple()[0].AsInt() % 2 == 0) {
+    out.push_back(
+        Value::MakePair(v.tuple()[0], D(v.tuple()[1].AsDouble() + 1.0)));
+  }
+  return out;
+}
+
 /// A program drawn from (op codes, terminal code): a chain of narrow
-/// operators over (int, double) pairs followed by one action. Both
-/// engines are handed the exact same closures, so any divergence comes
-/// from execution strategy, never from the program.
+/// operators over (int, double) pairs followed by one action.
 StatusOr<ValueVec> RunProgram(Engine& engine, const ValueVec& rows,
                               const std::vector<int>& ops, int terminal) {
   Dataset cur = engine.Parallelize(rows);
   for (int op : ops) {
-    switch (op % 4) {
-      case 0: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.Map(cur, [](const Value& v) -> StatusOr<Value> {
-              return Value::MakePair(
-                  v.tuple()[0],
-                  D(v.tuple()[1].AsDouble() * 1.25 +
-                    static_cast<double>(v.tuple()[0].AsInt())));
-            }));
-        break;
-      }
-      case 1: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.MapValues(cur, [](const Value& v) -> StatusOr<Value> {
-              return D(v.AsDouble() * 0.5 - 3.0);
-            }));
-        break;
-      }
-      case 2: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.Filter(cur, [](const Value& v) -> StatusOr<bool> {
-              return v.tuple()[1].AsDouble() > -40.0;
-            }));
-        break;
-      }
-      default: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.FlatMap(cur, [](const Value& v) -> StatusOr<ValueVec> {
-              ValueVec out{v};
-              if (v.tuple()[0].AsInt() % 2 == 0) {
-                out.push_back(Value::MakePair(
-                    v.tuple()[0], D(v.tuple()[1].AsDouble() + 1.0)));
-              }
-              return out;
-            }));
-        break;
-      }
-    }
+    StatusOr<Dataset> next = op % 4 == 0   ? engine.Map(cur, MapRow)
+                             : op % 4 == 1 ? engine.MapValues(cur, MapValue)
+                             : op % 4 == 2 ? engine.Filter(cur, KeepRow)
+                                           : engine.FlatMap(cur, FlatMapRow);
+    DIABLO_ASSIGN_OR_RETURN(cur, std::move(next));
   }
   switch (terminal % 6) {
     case 0:
@@ -115,6 +104,57 @@ StatusOr<ValueVec> RunProgram(Engine& engine, const ValueVec& rows,
   }
 }
 
+/// The same program evaluated by the sequential oracle: every operator
+/// runs eagerly over each input chunk, row by row.
+ValueVec OracleProgram(const ValueVec& rows, int parts,
+                       const std::vector<int>& ops, int terminal) {
+  std::vector<ValueVec> chunks = oracle::Chunks(rows, parts);
+  for (int op : ops) {
+    for (ValueVec& chunk : chunks) {
+      ValueVec next;
+      for (const Value& v : chunk) {
+        switch (op % 4) {
+          case 0:
+            next.push_back(*MapRow(v));
+            break;
+          case 1:
+            next.push_back(Value::MakePair(v.tuple()[0],
+                                           *MapValue(v.tuple()[1])));
+            break;
+          case 2:
+            if (*KeepRow(v)) next.push_back(v);
+            break;
+          default: {
+            const ValueVec outs = *FlatMapRow(v);
+            next.insert(next.end(), outs.begin(), outs.end());
+            break;
+          }
+        }
+      }
+      chunk = std::move(next);
+    }
+  }
+  const ValueVec flat = oracle::Concat(chunks);
+  switch (terminal % 6) {
+    case 0:
+    case 3:
+      return flat;
+    case 1:
+      return oracle::PairLayout(oracle::ReduceByKey(chunks, BinOp::kAdd),
+                                parts);
+    case 2:
+      return oracle::BagLayout(oracle::GroupByKey(flat), parts);
+    case 4:
+      return oracle::JoinLayout(oracle::GroupByKey(flat),
+                                oracle::ReduceByKey(chunks, BinOp::kAdd),
+                                parts);
+    default: {
+      std::optional<Value> total = oracle::Reduce(chunks, BinOp::kAdd);
+      return total.has_value() ? ValueVec{*total} : ValueVec{};
+    }
+  }
+}
+
 TEST(FusionProperty, FusedMatchesEagerByteForByte) {
   for (uint64_t seed = 0; seed < 24; ++seed) {
     std::mt19937_64 rng(seed * 7919 + 1);
@@ -124,18 +164,13 @@ TEST(FusionProperty, FusedMatchesEagerByteForByte) {
     for (int& op : ops) op = static_cast<int>(rng() % 4);
     int terminal = static_cast<int>(rng() % 6);
 
-    EngineConfig fused_config;
-    fused_config.fuse_narrow = true;
-    fused_config.num_partitions = 1 + static_cast<int>(rng() % 12);
-    EngineConfig eager_config = fused_config;
-    eager_config.fuse_narrow = false;
-
-    Engine fused(fused_config), eager(eager_config);
+    EngineConfig config;
+    config.num_partitions = 1 + static_cast<int>(rng() % 12);
+    Engine fused(config);
     auto fused_out = RunProgram(fused, rows, ops, terminal);
-    auto eager_out = RunProgram(eager, rows, ops, terminal);
     ASSERT_TRUE(fused_out.ok()) << fused_out.status().ToString();
-    ASSERT_TRUE(eager_out.ok()) << eager_out.status().ToString();
-    EXPECT_EQ(*fused_out, *eager_out)
+    EXPECT_EQ(*fused_out,
+              OracleProgram(rows, config.num_partitions, ops, terminal))
         << "seed " << seed << ", " << ops.size() << " ops, terminal "
         << terminal;
   }
@@ -195,7 +230,7 @@ TEST(FusionProperty, LostPartitionsReplayTheChain) {
 }
 
 TEST(FusionMetrics, FusedStagesReportSavedMaterialization) {
-  Engine engine;  // fuse_narrow defaults to true
+  Engine engine;
   ValueVec rows;
   for (int i = 0; i < 1000; ++i) {
     rows.push_back(Value::MakePair(I(i % 10), D(i * 0.25)));
@@ -214,7 +249,7 @@ TEST(FusionMetrics, FusedStagesReportSavedMaterialization) {
         return D(v.AsDouble() * 2.0);
       });
   ASSERT_TRUE(scaled.ok());
-  // Nothing ran yet: narrow operators defer under fusion.
+  // Nothing ran yet: narrow operators defer.
   EXPECT_EQ(engine.metrics().stages().size(), 0u);
   EXPECT_FALSE(scaled->materialized());
   EXPECT_EQ(scaled->chain().size(), 3u);

@@ -1,26 +1,29 @@
 // Hash-aggregation and worker-pool property tests.
 //
 // The engine's wide operators aggregate through the open-addressing
-// KeyedAccumulator (hash_aggregation = true, the default) instead of the
-// ordered std::map path. The contract: results are byte-identical to the
-// ordered path for every workload, partition count, host thread count,
-// fusion setting and fault schedule — hash-table iteration order must
-// never be observable. The persistent work-stealing pool carries a
-// matching contract: every index runs exactly once and a failing wave
-// reports the error of the lowest-indexed failing task no matter how
-// many threads raced.
+// KeyedAccumulator. The contract: results match an ordered std::map
+// fold computed sequentially by the test (tests/seq_oracle.h) for every
+// workload, partition count, host thread count and fault schedule —
+// hash-table iteration order must never be observable. The persistent
+// work-stealing pool carries a matching contract: every index runs
+// exactly once and a failing wave reports the error of the
+// lowest-indexed failing task no matter how many threads raced.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "runtime/engine.h"
 #include "runtime/fault.h"
 #include "runtime/keyed_accumulator.h"
 #include "runtime/worker_pool.h"
+#include "tests/seq_oracle.h"
 
 namespace diablo::runtime {
 namespace {
@@ -83,7 +86,7 @@ TEST(KeyedAccumulator, StructuralKeysCompareByValueNotHash) {
   KeyedAccumulator<ValueVec> acc;
   for (int round = 0; round < 3; ++round) {
     for (int64_t a = 0; a < 8; ++a) {
-      const Value key = Value::MakePair(I(a), S("k" + std::to_string(a % 3)));
+      const Value key = Value::MakePair(I(a), S(StrCat("k", a % 3)));
       acc.FindOrCreate(key.Hash(), key).payload.push_back(I(round));
     }
   }
@@ -146,8 +149,8 @@ TEST(WorkerPool, EmptyAndUndersizedWaves) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level property: hash aggregation is byte-identical to the
-// ordered-map path across workloads and engine configurations.
+// Engine-level property: hash aggregation matches the sequential
+// ordered-map oracle across workloads and engine configurations.
 
 // Word count: (word, 1) pairs reduced by key. String keys stress
 // hashing/compare asymmetry.
@@ -163,8 +166,7 @@ StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words) {
 }
 
 // PageRank-flavoured: two iterations of join(ranks, links) →
-// contributions → reduceByKey over doubles. Float folds make any
-// arrival-order divergence between the paths visible bit-for-bit.
+// contributions → reduceByKey over doubles.
 StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
   Dataset links = engine.Parallelize(edges);
   DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
@@ -216,6 +218,85 @@ StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
   return out;
 }
 
+// The sequential oracles of the three workloads (tests/seq_oracle.h).
+// Integer and string results match the engine exactly. The PageRankIters
+// oracle sums each node's contributions in source-key order rather than
+// the engine's partition arrival order, so that workload is compared
+// within kPageRankRelTol.
+constexpr double kPageRankRelTol = 1e-12;
+
+ValueVec WordCountOracle(const ValueVec& words, int parts) {
+  std::map<Value, Value> counts;
+  for (const Value& w : words) {
+    auto [it, inserted] = counts.emplace(w, I(1));
+    if (!inserted) it->second = I(it->second.AsInt() + 1);
+  }
+  return oracle::PairLayout(counts, parts);
+}
+
+ValueVec PageRankItersOracle(const ValueVec& edges, int parts) {
+  const std::map<Value, ValueVec> links = oracle::GroupByKey(edges);
+  std::map<Value, double> ranks;
+  for (const auto& [src, outs] : links) ranks[src] = 1.0;
+  for (int iter = 0; iter < 2; ++iter) {
+    std::map<Value, double> sums;
+    for (const auto& [src, outs] : links) {
+      auto rank = ranks.find(src);
+      if (rank == ranks.end()) continue;
+      for (const Value& dst : outs) {
+        sums[dst] += rank->second / static_cast<double>(outs.size());
+      }
+    }
+    ranks.clear();
+    for (const auto& [dst, sum] : sums) ranks[dst] = 0.15 + 0.85 * sum;
+  }
+  return oracle::HashLayout(ranks, parts, [](const Value& k, double r) {
+    return Value::MakePair(k, D(r));
+  });
+}
+
+ValueVec RelationalMixOracle(const ValueVec& rows, int parts) {
+  const std::map<Value, Value> sums =
+      oracle::ReduceByKey(oracle::Chunks(rows, parts), BinOp::kAdd);
+  const std::map<Value, ValueVec> left = oracle::GroupByKey(rows);
+  ValueVec out = oracle::JoinLayout(left, sums, parts);
+  // CoGroup: (key, (Bag of left values, Bag of the one sum)).
+  ValueVec cg = oracle::HashLayout(
+      sums, parts, [&](const Value& k, const Value& sum) {
+        return Value::MakePair(k, Value::MakePair(Value::MakeBag(left.at(k)),
+                                                  Value::MakeBag({sum})));
+      });
+  // Distinct keys, each a row of its own.
+  ValueVec uniq = oracle::HashLayout(
+      left, parts, [](const Value& k, const ValueVec&) { return k; });
+  out.insert(out.end(), cg.begin(), cg.end());
+  out.insert(out.end(), uniq.begin(), uniq.end());
+  return out;
+}
+
+ValueVec WorkloadOracle(int which, const ValueVec& rows, int parts) {
+  switch (which) {
+    case 0:
+      return WordCountOracle(rows, parts);
+    case 1:
+      return PageRankItersOracle(rows, parts);
+    default:
+      return RelationalMixOracle(rows, parts);
+  }
+}
+
+/// Checks one engine run of workload `which` against its oracle:
+/// exactly, or within kPageRankRelTol for PageRankIters.
+void ExpectMatchesOracle(int which, const ValueVec& rows, int parts,
+                         const ValueVec& got) {
+  const ValueVec want = WorkloadOracle(which, rows, parts);
+  if (which == 1) {
+    EXPECT_TRUE(oracle::RowsNearlyEqual(got, want, kPageRankRelTol));
+  } else {
+    EXPECT_EQ(got, want);
+  }
+}
+
 StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
                                const ValueVec& rows) {
   switch (which) {
@@ -254,30 +335,29 @@ ValueVec WorkloadInput(int which, std::mt19937_64& rng) {
 }
 
 TEST(HashAggProperty, HashMatchesOrderedByteForByte) {
+  // The ordered side is the sequential std::map oracle; the runs at 1
+  // and 4 host threads must also agree with each other byte for byte.
   for (int which = 0; which < 3; ++which) {
     for (uint64_t seed = 0; seed < 6; ++seed) {
       std::mt19937_64 rng(seed * 6151 + which + 1);
       ValueVec rows = WorkloadInput(which, rng);
       const int parts = 1 + static_cast<int>(rng() % 12);
+      std::optional<ValueVec> serial;
       for (int host_threads : {1, 4}) {
-        for (bool fuse : {true, false}) {
-          EngineConfig hash_config;
-          hash_config.num_partitions = parts;
-          hash_config.host_threads = host_threads;
-          hash_config.fuse_narrow = fuse;
-          hash_config.hash_aggregation = true;
-          EngineConfig ordered_config = hash_config;
-          ordered_config.hash_aggregation = false;
-          ordered_config.persistent_pool = false;
-
-          Engine hash(hash_config), ordered(ordered_config);
-          auto hash_out = RunWorkload(hash, which, rows);
-          auto ordered_out = RunWorkload(ordered, which, rows);
-          ASSERT_TRUE(hash_out.ok()) << hash_out.status().ToString();
-          ASSERT_TRUE(ordered_out.ok()) << ordered_out.status().ToString();
-          EXPECT_EQ(*hash_out, *ordered_out)
-              << "workload " << which << " seed " << seed << " threads "
-              << host_threads << " fuse " << fuse;
+        SCOPED_TRACE(::testing::Message()
+                     << "workload " << which << " seed " << seed
+                     << " threads " << host_threads);
+        EngineConfig config;
+        config.num_partitions = parts;
+        config.host_threads = host_threads;
+        Engine engine(config);
+        auto out = RunWorkload(engine, which, rows);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        ExpectMatchesOracle(which, rows, parts, *out);
+        if (serial.has_value()) {
+          EXPECT_EQ(*out, *serial);
+        } else {
+          serial = *out;
         }
       }
     }
@@ -285,26 +365,23 @@ TEST(HashAggProperty, HashMatchesOrderedByteForByte) {
 }
 
 TEST(HashAggProperty, HashUnderFaultsMatchesOrderedFaultFree) {
-  // Fault schedules key off (stage id, partition, attempt, row index) —
-  // coordinates the aggregation strategy does not change — so the same
-  // injected faults hit both paths and neither may diverge from the
-  // fault-free answer.
+  // Fault schedules key off (stage id, partition, attempt, row index),
+  // so a faulty run that completes must equal the fault-free run byte
+  // for byte, and both must match the ordered sequential oracle.
   for (int which = 0; which < 3; ++which) {
     for (uint64_t seed = 0; seed < 4; ++seed) {
       std::mt19937_64 rng(seed * 2741 + which + 11);
       ValueVec rows = WorkloadInput(which, rng);
 
-      EngineConfig clean_config;
-      clean_config.hash_aggregation = false;
-      clean_config.persistent_pool = false;
-      Engine clean(clean_config);
+      Engine clean{EngineConfig()};
       auto expected = RunWorkload(clean, which, rows);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ExpectMatchesOracle(which, rows, clean.config().num_partitions,
+                          *expected);
 
-      for (bool hash_agg : {true, false}) {
+      for (int host_threads : {1, 4}) {
         EngineConfig faulty_config;
-        faulty_config.hash_aggregation = hash_agg;
-        faulty_config.host_threads = 4;
+        faulty_config.host_threads = host_threads;
         faulty_config.faults.seed = seed + 17;
         faulty_config.faults.task_failure_rate = 0.08;
         faulty_config.faults.corrupt_shuffle_rate = 0.01;
@@ -314,8 +391,8 @@ TEST(HashAggProperty, HashUnderFaultsMatchesOrderedFaultFree) {
         auto got = RunWorkload(faulty, which, rows);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(*got, *expected)
-            << "workload " << which << " seed " << seed << " hash_agg "
-            << hash_agg;
+            << "workload " << which << " seed " << seed << " threads "
+            << host_threads;
       }
     }
   }
@@ -350,13 +427,13 @@ TEST(HashAggProperty, LostPartitionRecoveryUsesAccumulatorReplay) {
 
 TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
   // Distinct's dedup and its lost-partition replay both run on the
-  // accumulator now; randomized faults plus a directed partition loss
-  // must reproduce the clean answer.
+  // accumulator; randomized faults plus a directed partition loss must
+  // reproduce the oracle's answer.
   ValueVec rows;
   std::mt19937_64 rng(91);
   for (int i = 0; i < 400; ++i) {
     rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % 29)),
-                                   S("v" + std::to_string(rng() % 5))));
+                                   S(StrCat("v", rng() % 5))));
   }
   auto run = [&](EngineConfig config) {
     Engine engine(config);
@@ -367,8 +444,13 @@ TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     return out.ok() ? *out : ValueVec{};
   };
-  const ValueVec expected = run(EngineConfig{});
+  std::map<Value, bool> distinct;
+  for (const Value& row : rows) distinct[row] = true;
+  const ValueVec expected = oracle::HashLayout(
+      distinct, EngineConfig().num_partitions,
+      [](const Value& row, bool) { return row; });
   ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(run(EngineConfig{}), expected);
 
   EngineConfig faulty;
   faulty.faults.seed = 5;
@@ -377,27 +459,24 @@ TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
   faulty.faults.lose_partitions.push_back({1, 3, 0});
   EXPECT_EQ(run(faulty), expected);
 
-  EngineConfig ordered = faulty;
-  ordered.hash_aggregation = false;
-  EXPECT_EQ(run(ordered), expected);
+  faulty.host_threads = 4;
+  EXPECT_EQ(run(faulty), expected);
 }
 
 // ---------------------------------------------------------------------
 // Deterministic error selection (the RunPerPartition contract).
 
 TEST(DeterministicErrors, SameErrorForEveryThreadCountAndScheduler) {
-  // Several partitions fail; the reported error must be the one from the
-  // lowest-indexed failing partition regardless of host_threads or
-  // whether the persistent pool or the spawn-per-wave path ran the wave.
+  // Several partitions fail inside a fused map+filter chain; the error
+  // Force reports must be the one from the lowest-indexed failing
+  // partition, whether the wave runs inline or on the pool at any size.
   ValueVec rows;
   for (int i = 0; i < 160; ++i) rows.push_back(I(i));
 
-  auto run = [&](int host_threads, bool pool) {
+  auto run = [&](int host_threads) -> Status {
     EngineConfig config;
     config.num_partitions = 16;
     config.host_threads = host_threads;
-    config.persistent_pool = pool;
-    config.fuse_narrow = false;  // eager: the map wave itself fails
     Engine engine(config);
     Dataset ds = engine.Parallelize(rows);
     auto mapped = engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
@@ -408,44 +487,52 @@ TEST(DeterministicErrors, SameErrorForEveryThreadCountAndScheduler) {
       }
       return v;
     });
-    return mapped.ok() ? Status::OK() : mapped.status();
+    // Narrow operators defer: the error surfaces only when Force runs
+    // the chain.
+    EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+    auto kept = engine.Filter(*mapped, [](const Value& v) -> StatusOr<bool> {
+      return v.AsInt() % 3 != 1;
+    });
+    EXPECT_TRUE(kept.ok()) << kept.status().ToString();
+    auto forced = engine.Force(*kept);
+    return forced.ok() ? Status::OK() : forced.status();
   };
 
-  const Status expected = run(1, false);
+  const Status expected = run(1);
   ASSERT_FALSE(expected.ok());
   EXPECT_EQ(expected.message(), "bad row 72");
   for (int threads : {1, 2, 4, 8}) {
-    for (bool pool : {true, false}) {
-      for (int rep = 0; rep < 10; ++rep) {
-        const Status got = run(threads, pool);
-        ASSERT_FALSE(got.ok());
-        EXPECT_EQ(got.ToString(), expected.ToString())
-            << "threads " << threads << " pool " << pool;
-      }
+    for (int rep = 0; rep < 10; ++rep) {
+      const Status got = run(threads);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.ToString(), expected.ToString()) << "threads " << threads;
     }
   }
 }
 
-TEST(PersistentPool, ReusedAcrossStagesAndMatchesSpawn) {
-  // One engine drives a multi-stage program twice; the pool is created
-  // once and must keep producing results identical to the spawn path.
+TEST(PersistentPool, ReusedAcrossStagesAndMatchesOracle) {
+  // One engine drives a multi-stage program three times; the pool is
+  // created once and every round must equal the inline single-thread
+  // run byte for byte and match the sequential oracle.
   std::mt19937_64 rng(2026);
   ValueVec rows = WorkloadInput(/*which=*/1, rng);
   EngineConfig pool_config;
   pool_config.host_threads = 4;
-  pool_config.persistent_pool = true;
-  EngineConfig spawn_config = pool_config;
-  spawn_config.persistent_pool = false;
+  EngineConfig inline_config = pool_config;
+  inline_config.host_threads = 1;
 
-  Engine pooled(pool_config), spawning(spawn_config);
+  Engine inline_engine(inline_config);
+  auto expected = RunWorkload(inline_engine, 1, rows);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectMatchesOracle(1, rows, pool_config.num_partitions, *expected);
+
+  Engine pooled(pool_config);
   for (int round = 0; round < 3; ++round) {
     pooled.ResetRunState();
-    spawning.ResetRunState();
-    auto a = RunWorkload(pooled, 1, rows);
-    auto b = RunWorkload(spawning, 1, rows);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(*a, *b) << "round " << round;
+    auto got = RunWorkload(pooled, 1, rows);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *expected) << "round " << round;
+    EXPECT_GT(pooled.metrics().total_pool_tasks(), 0) << "round " << round;
   }
 }
 

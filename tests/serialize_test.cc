@@ -219,8 +219,12 @@ TEST(SerializeHashed, RejectsTruncationAtEveryPrefix) {
     auto back = DeserializeHashedVec(prefix, &offset);
     // Either a clean rejection or a decode that consumed a well-formed
     // prefix — never a row count the bytes cannot back.
-    if (back.ok()) EXPECT_LE(offset, prefix.size()) << "cut at " << cut;
-    if (cut < 4) EXPECT_FALSE(back.ok()) << "count prefix cut at " << cut;
+    if (back.ok()) {
+      EXPECT_LE(offset, prefix.size()) << "cut at " << cut;
+    }
+    if (cut < 4) {
+      EXPECT_FALSE(back.ok()) << "count prefix cut at " << cut;
+    }
   }
 }
 

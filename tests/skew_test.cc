@@ -2,8 +2,7 @@
 // run — hot reduce/combine tasks split across sub-tasks, merged back by
 // the un-salt step — must be byte-for-byte identical to the unmitigated
 // engine across workloads, partition/thread sweeps, columnar and boxed
-// execution, fusion, hash aggregation, fault injection, lost-partition
-// lineage recovery, and the multi-process distributed backend. Also
+// execution, fault injection, lost-partition lineage recovery, and the multi-process distributed backend. Also
 // covers the --profile-in feedback loop: a stale profile degrades
 // gracefully to the static plan rules.
 
@@ -13,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "diablo/diablo.h"
 #include "dist/coordinator.h"
 #include "runtime/engine.h"
@@ -80,18 +80,12 @@ struct SkewCase {
   int partitions;
   int threads;
   bool columnar;
-  bool fuse;
-  bool hash_agg;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<SkewCase>& info) {
   const SkewCase& c = info.param;
-  std::string name = "p" + std::to_string(c.partitions) + "_t" +
-                     std::to_string(c.threads);
-  name += c.columnar ? "_columnar" : "_boxed";
-  if (!c.fuse) name += "_nofuse";
-  if (!c.hash_agg) name += "_nohashagg";
-  return name;
+  return StrCat("p", c.partitions, "_t", c.threads,
+                c.columnar ? "_columnar" : "_boxed");
 }
 
 class SkewMatrixTest : public ::testing::TestWithParam<SkewCase> {
@@ -101,8 +95,6 @@ class SkewMatrixTest : public ::testing::TestWithParam<SkewCase> {
     config.num_partitions = GetParam().partitions;
     config.host_threads = GetParam().threads;
     config.columnar = GetParam().columnar;
-    config.fuse_narrow = GetParam().fuse;
-    config.hash_aggregation = GetParam().hash_agg;
     return config;
   }
 };
@@ -205,13 +197,9 @@ TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SkewMatrixTest,
-    ::testing::Values(SkewCase{1, 1, true, true, true},
-                      SkewCase{4, 1, true, true, true},
-                      SkewCase{8, 4, true, true, true},
-                      SkewCase{8, 4, false, true, true},
-                      SkewCase{8, 1, true, false, true},
-                      SkewCase{8, 1, true, true, false},
-                      SkewCase{5, 2, false, false, false}),
+    ::testing::Values(SkewCase{1, 1, true}, SkewCase{4, 1, true},
+                      SkewCase{8, 4, true}, SkewCase{8, 4, false},
+                      SkewCase{8, 1, true}, SkewCase{5, 2, false}),
     CaseName);
 
 TEST(SkewFaultTest, FaultInjectionByteIdentical) {

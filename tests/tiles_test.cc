@@ -10,6 +10,7 @@
 #include <map>
 #include <random>
 
+#include "common/strings.h"
 #include "runtime/array.h"
 #include "runtime/operators.h"
 
@@ -84,10 +85,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TileParams{5, 7, 2, 3}, TileParams{16, 4, 4, 2},
                       TileParams{1, 1, 4, 4}),
     [](const ::testing::TestParamInfo<TileParams>& info) {
-      return "n" + std::to_string(info.param.n) + "m" +
-             std::to_string(info.param.m) + "t" +
-             std::to_string(info.param.tr) + "x" +
-             std::to_string(info.param.tc);
+      return StrCat("n", info.param.n, "m", info.param.m, "t", info.param.tr,
+                    "x", info.param.tc);
     });
 
 TEST(Pack, TileCountAndShape) {

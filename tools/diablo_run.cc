@@ -39,15 +39,12 @@
 //   --no-skew                disable runtime skew mitigation (salting of
 //                            hot reduce tasks; SkewConfig::mitigate=0)
 //   --no-trace               disable span recording (EngineConfig::tracing)
-//   --no-fusion              eager narrow operators (fuse_narrow=0, AB6)
-//   --no-hash-agg            ordered-map shuffle aggregation
-//                            (hash_aggregation=0, AB7)
-//   --no-pool                spawn threads per wave (persistent_pool=0)
 //   --no-columnar            boxed per-row execution (columnar=0, AB9)
-//   --partitions N           engine partitions (default 8)
-//   --workers N              simulated cluster workers (default 4)
+//   --partitions N           engine partitions (default 8; N >= 1)
+//   --workers N              simulated cluster workers (default 4; N >= 1)
 //   --threads N              host threads executing partition tasks
 //   --broadcast-mb N         enable broadcast joins for arrays <= N MB
+//                            (N >= 0; 0 keeps shuffle joins)
 //   --serialize-shuffles     round-trip shuffled rows through the codec
 //   --fault-seed N           seed of the deterministic fault injector
 //   --fail-rate P            per-attempt task kill probability [0,1]
@@ -60,8 +57,8 @@
 //                            default 0); recomputed from lineage
 //   --tiled NAME             store the named matrix as packed tiles (§5;
 //                            repeatable)
-//   --tile-rows R            tile rows (default 32)
-//   --tile-cols C            tile columns (default 32)
+//   --tile-rows R            tile rows (default 32; R >= 1)
+//   --tile-cols C            tile columns (default 32; C >= 1)
 //   --no-opt                 disable the comprehension optimizer
 //   --local                  run on the single-process local algebra
 //                            backend instead of the distributed engine
@@ -102,6 +99,9 @@
 // Example:
 //   diablo_run wordcount.diablo --vector words=words.csv --print C
 
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -259,9 +259,23 @@ double ParseDoubleFlag(const std::string& flag, const std::string& text) {
 
 long long ParseIntFlag(const std::string& flag, const std::string& text) {
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0') {
+  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
     Die(flag + " expects an integer, got '" + text + "'");
+  }
+  return v;
+}
+
+/// ParseIntFlag restricted to [lo, hi]. Sizes and counts are checked
+/// here because a zero or negative one reaches the engine as a silent
+/// clamp, a division by zero in the cost model, or a negative shift.
+long long ParseIntFlagIn(const std::string& flag, const std::string& text,
+                         long long lo, long long hi) {
+  long long v = ParseIntFlag(flag, text);
+  if (v < lo || v > hi) {
+    Die(flag + " expects an integer in [" + std::to_string(lo) + ", " +
+        std::to_string(hi) + "], got '" + text + "'");
   }
   return v;
 }
@@ -346,25 +360,21 @@ int main(int argc, char** argv) {
       engine_config.skew.mitigate = false;
     } else if (arg == "--no-trace") {
       engine_config.tracing = false;
-    } else if (arg == "--no-fusion") {
-      engine_config.fuse_narrow = false;
-    } else if (arg == "--no-hash-agg") {
-      engine_config.hash_aggregation = false;
-    } else if (arg == "--no-pool") {
-      engine_config.persistent_pool = false;
     } else if (arg == "--no-columnar") {
       engine_config.columnar = false;
     } else if (arg == "--partitions") {
-      engine_config.num_partitions = std::atoi(next().c_str());
+      engine_config.num_partitions =
+          static_cast<int>(ParseIntFlagIn(arg, next(), 1, INT_MAX));
       partitions_set = true;
     } else if (arg == "--workers") {
-      engine_config.cluster.num_workers = std::atoi(next().c_str());
+      engine_config.cluster.num_workers =
+          static_cast<int>(ParseIntFlagIn(arg, next(), 1, INT_MAX));
     } else if (arg == "--threads") {
       engine_config.host_threads =
           static_cast<int>(ParseIntFlag(arg, next()));
     } else if (arg == "--broadcast-mb") {
       engine_config.broadcast_join_threshold_bytes =
-          std::atoll(next().c_str()) << 20;
+          ParseIntFlagIn(arg, next(), 0, INT64_MAX >> 20) << 20;
     } else if (arg == "--serialize-shuffles") {
       engine_config.serialize_shuffles = true;
     } else if (arg == "--fault-seed") {
@@ -389,9 +399,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--tiled") {
       run_options.tiled_arrays.insert(next());
     } else if (arg == "--tile-rows") {
-      run_options.tile_config.tile_rows = std::atoll(next().c_str());
+      run_options.tile_config.tile_rows =
+          ParseIntFlagIn(arg, next(), 1, INT_MAX);
     } else if (arg == "--tile-cols") {
-      run_options.tile_config.tile_cols = std::atoll(next().c_str());
+      run_options.tile_config.tile_cols =
+          ParseIntFlagIn(arg, next(), 1, INT_MAX);
     } else if (arg == "--dist-workers") {
       dist_workers = static_cast<int>(ParseIntFlag(arg, next()));
       if (dist_workers <= 0) Die("--dist-workers expects a positive count");
