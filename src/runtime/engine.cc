@@ -19,10 +19,7 @@ namespace {
 struct NoPayload {};
 
 /// Drains a hash accumulator into one output partition: entries sorted
-/// by key, each turned into a row by `make_row`. The forward task and
-/// the lineage rebuild of groupByKey, reduceByKey, coGroup and distinct
-/// finish through the same finalizer below, so a rebuilt partition is
-/// byte-identical to the original.
+/// by key, each turned into a row by `make_row`.
 template <typename Payload, typename MakeRow>
 ValueVec SortedRows(KeyedAccumulator<Payload>* acc, MakeRow make_row) {
   acc->SortByKey();
@@ -32,25 +29,108 @@ ValueVec SortedRows(KeyedAccumulator<Payload>* acc, MakeRow make_row) {
   return out;
 }
 
-/// GroupByKey's finalizer: (key, Bag-of-values) rows in key order.
-ValueVec GroupedRows(KeyedAccumulator<ValueVec>* groups) {
-  return SortedRows(groups, [](auto& e) {
+// The per-destination steps of the wide operators. Each turns one
+// destination's post-shuffle rows into its output rows, and both the
+// forward task and the lineage rebuild (Engine::WideLineage) call the
+// same function, so a rebuilt partition is byte-identical to the
+// original. `accumulator_bytes` (nullable) receives the accumulator's
+// footprint for the stage's accumulator_bytes_peak.
+
+/// GroupByKey: groups rows [lo, hi) of `part` (a skew chunk, or all of
+/// it), values in arrival order, into (key, Bag) rows in key order.
+ValueVec GroupedRows(const HashedVec& part, size_t lo, size_t hi,
+                     int64_t* accumulator_bytes) {
+  KeyedAccumulator<ValueVec> groups(hi - lo);
+  for (size_t i = lo; i < hi; ++i) {
+    const ValueVec& kv = part[i].row.tuple();
+    groups.FindOrCreate(part[i].hash, kv[0]).payload.push_back(kv[1]);
+  }
+  if (accumulator_bytes != nullptr) {
+    *accumulator_bytes = static_cast<int64_t>(groups.MemoryBytes());
+  }
+  return SortedRows(&groups, [](auto& e) {
     return Value::MakePair(std::move(e.key),
                            Value::MakeBag(std::move(e.payload)));
   });
 }
 
-/// ReduceByKey's reduce-side finalizer: (key, folded value) rows.
+/// ReduceByKey's boxed fold of one (key, value) into `acc`: the first
+/// value of a key seeds it, later ones fold in arrival order.
+Status FoldValue(KeyedAccumulator<Value>* acc, const Engine::ReduceFn& fn,
+                 size_t hash, const Value& key, const Value& value) {
+  auto ref = acc->FindOrCreate(hash, key);
+  if (ref.inserted) {
+    ref.payload = value;
+  } else {
+    DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, value));
+  }
+  return Status::OK();
+}
+
+/// FoldValue over rows[from..] of hashed (key, value) rows.
+Status FoldRows(const HashedVec& rows, size_t from,
+                const Engine::ReduceFn& fn,
+                KeyedAccumulator<Value>* acc) {
+  for (size_t i = from; i < rows.size(); ++i) {
+    const ValueVec& kv = rows[i].row.tuple();
+    DIABLO_RETURN_IF_ERROR(FoldValue(acc, fn, rows[i].hash, kv[0], kv[1]));
+  }
+  return Status::OK();
+}
+
+/// The boxed map-side combine's output: the folded (key, value) pairs
+/// in key order, each carrying its key hash into the shuffle.
+HashedVec CombinedRows(KeyedAccumulator<Value>* acc) {
+  acc->SortByKey();
+  HashedVec out;
+  out.reserve(acc->size());
+  for (auto& e : acc->entries()) {
+    out.push_back(HashedRow{
+        e.hash, Value::MakePair(std::move(e.key), std::move(e.payload))});
+  }
+  return out;
+}
+
+/// ReduceByKey's reduce side: (key, folded value) rows in key order.
 ValueVec ReducedRows(KeyedAccumulator<Value>* acc) {
   return SortedRows(acc, [](auto& e) {
     return Value::MakePair(std::move(e.key), std::move(e.payload));
   });
 }
 
-/// CoGroup's finalizer: (key, (Bag-of-left, Bag-of-right)) rows.
-ValueVec CoGroupedRows(
-    KeyedAccumulator<std::pair<ValueVec, ValueVec>>* groups) {
-  return SortedRows(groups, [](auto& e) {
+/// Join: builds from the left rows and probes with the right rows, both
+/// in arrival order. The output is in probe order, so it needs no sort.
+ValueVec JoinedRows(const HashedVec& ls, const HashedVec& rs) {
+  KeyedAccumulator<ValueVec> build(ls.size());
+  for (const HashedRow& hr : ls) {
+    const ValueVec& kv = hr.row.tuple();
+    build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
+  }
+  ValueVec out;
+  for (const HashedRow& hr : rs) {
+    const ValueVec& kv = hr.row.tuple();
+    const ValueVec* lvs = build.Find(hr.hash, kv[0]);
+    if (lvs == nullptr) continue;
+    for (const Value& lv : *lvs) {
+      out.push_back(Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
+    }
+  }
+  return out;
+}
+
+/// CoGroup: (key, (Bag-of-left, Bag-of-right)) rows in key order.
+ValueVec CoGroupedRows(const HashedVec& ls, const HashedVec& rs) {
+  KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(ls.size() +
+                                                         rs.size());
+  for (const HashedRow& hr : ls) {
+    const ValueVec& kv = hr.row.tuple();
+    groups.FindOrCreate(hr.hash, kv[0]).payload.first.push_back(kv[1]);
+  }
+  for (const HashedRow& hr : rs) {
+    const ValueVec& kv = hr.row.tuple();
+    groups.FindOrCreate(hr.hash, kv[0]).payload.second.push_back(kv[1]);
+  }
+  return SortedRows(&groups, [](auto& e) {
     return Value::MakePair(
         std::move(e.key),
         Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
@@ -58,22 +138,21 @@ ValueVec CoGroupedRows(
   });
 }
 
-/// Distinct's finalizer: the distinct rows in order.
-ValueVec DistinctRows(KeyedAccumulator<NoPayload>* seen) {
-  return SortedRows(seen, [](auto& e) { return std::move(e.key); });
+/// Distinct: the distinct keys of (row, unit) pairs, in order.
+ValueVec DistinctRows(const HashedVec& part) {
+  KeyedAccumulator<NoPayload> seen(part.size());
+  for (const HashedRow& hr : part) {
+    seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
+  }
+  return SortedRows(&seen, [](auto& e) { return std::move(e.key); });
 }
 
-std::vector<int64_t> RowCounts(const std::vector<ValueVec>& parts) {
+/// Rows per partition (ValueVec, HashedVec or TypedRows partitions).
+template <typename Part>
+std::vector<int64_t> RowCounts(const std::vector<Part>& parts) {
   std::vector<int64_t> counts;
   counts.reserve(parts.size());
-  for (const auto& p : parts) counts.push_back(static_cast<int64_t>(p.size()));
-  return counts;
-}
-
-std::vector<int64_t> RowCounts(const std::vector<HashedVec>& parts) {
-  std::vector<int64_t> counts;
-  counts.reserve(parts.size());
-  for (const auto& p : parts) counts.push_back(static_cast<int64_t>(p.size()));
+  for (const Part& p : parts) counts.push_back(static_cast<int64_t>(p.size()));
   return counts;
 }
 
@@ -87,6 +166,54 @@ StageStats NarrowStats(std::string label, std::vector<int64_t> map_work) {
   stats.label = std::move(label);
   stats.map_work = std::move(map_work);
   return stats;
+}
+
+/// Emits one task_retry event for partition `p` (no-op without a log),
+/// with `key` = `value` naming the failed attempt or the lost worker.
+/// EventLog::Emit locks, so wave threads may call it concurrently.
+void EmitTaskRetry(EventLog* events, int stage, int p, const char* key,
+                   int64_t value, const char* reason) {
+  if (events == nullptr) return;
+  Event e;
+  e.name = "task_retry";
+  e.stage_id = stage;
+  e.ints.emplace_back("partition", p);
+  e.ints.emplace_back(key, value);
+  e.strs.emplace_back("reason", reason);
+  events->Emit(std::move(e));
+}
+
+/// The error of a task whose every attempt failed, identical for the
+/// local and the remote scheduler.
+Status RetryBudgetExhausted(const std::string& label, int stage, int p,
+                            int budget) {
+  return Status::RuntimeError(StrCat("stage #", stage, " '", label,
+                                     "': partition ", p, " failed after ",
+                                     budget, " attempts; retry budget (",
+                                     budget, ") exhausted"));
+}
+
+/// A shuffle wave's byte accounting: `*shuffle_bytes` (nullable) is set
+/// to the bytes every source task moved, and the bytes each of the
+/// `out_parts` destinations received, bucket_bytes[src][dst], are ADDED
+/// to `*dest_bytes` (nullable; grown to out_parts entries).
+void TallyShuffleBytes(const std::vector<int64_t>& moved_bytes,
+                       const std::vector<std::vector<int64_t>>& bucket_bytes,
+                       int out_parts, int64_t* shuffle_bytes,
+                       std::vector<int64_t>* dest_bytes) {
+  if (shuffle_bytes != nullptr) {
+    *shuffle_bytes = 0;
+    for (int64_t b : moved_bytes) *shuffle_bytes += b;
+  }
+  if (dest_bytes == nullptr) return;
+  if (dest_bytes->size() < static_cast<size_t>(out_parts)) {
+    dest_bytes->resize(static_cast<size_t>(out_parts), 0);
+  }
+  for (const std::vector<int64_t>& per_dst : bucket_bytes) {
+    for (int dst = 0; dst < out_parts; ++dst) {
+      (*dest_bytes)[dst] += per_dst[dst];
+    }
+  }
 }
 
 /// Simulated scheduler backoff charged before retrying after `attempt`
@@ -380,6 +507,90 @@ bool ChainFullyKernelized(const FusedChain& chain) {
   return true;
 }
 
+/// The key of a (key, value) row of a keyed operator.
+StatusOr<const Value*> RowKey(const Value& row) {
+  if (!row.is_tuple() || row.tuple().size() != 2) {
+    return Status::RuntimeError(
+        StrCat("keyed operator applied to non-pair row: ", row.ToString()));
+  }
+  return &row.tuple()[0];
+}
+
+/// Maps the rows one source partition produced to the rows it ships.
+using SourceCombine = std::function<StatusOr<HashedVec>(HashedVec)>;
+
+/// The restricted scatter of lineage recovery. Replays `side`'s pending
+/// fused chain over every source partition in order, hashing each
+/// produced row's key once, and keeps a row only when its destination
+/// was lost: result[i] holds exactly the post-shuffle rows of
+/// destination lost[i], in the forward shuffle's arrival order.
+/// `combine` (nullable) maps each source partition's produced rows to
+/// the rows it ships before they are routed (reduceByKey's map-side
+/// combine). Charges one work unit per source row.
+StatusOr<std::vector<HashedVec>> ScatterLost(
+    const Dataset& side, const std::vector<int>& lost, int out_parts,
+    int64_t* work, const SourceCombine& combine) {
+  std::vector<int> slot_of(out_parts, -1);
+  for (size_t i = 0; i < lost.size(); ++i) {
+    slot_of[lost[i]] = static_cast<int>(i);
+  }
+  std::vector<HashedVec> out(lost.size());
+  for (int s = 0; s < side.num_partitions(); ++s) {
+    HashedVec produced;
+    for (const Value& row : side.partition(s)) {
+      *work += 1;
+      DIABLO_RETURN_IF_ERROR(ApplyChain(
+          side.chain(), 0, row, nullptr, [&](const Value& v) -> Status {
+            DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
+            produced.push_back(HashedRow{key->Hash(), v});
+            return Status::OK();
+          }));
+    }
+    if (combine) {
+      DIABLO_ASSIGN_OR_RETURN(produced, combine(std::move(produced)));
+    }
+    for (HashedRow& hr : produced) {
+      const int slot = slot_of[HashDestination(hr.hash, out_parts)];
+      if (slot >= 0) out[slot].push_back(std::move(hr));
+    }
+  }
+  return out;
+}
+
+/// Driver-side un-salt of a salted reduce wave (groupByKey's chunks,
+/// reduceByKey's stripes): an unsplit destination takes its one
+/// sub-task's rows, a split one merges its sub-tasks' rows with
+/// `merge`. When the plan split anything, `*unsalt` receives the
+/// `label.unsalt` planner stage, one map_work entry (the merged row
+/// count) per split destination; the caller records it after the stage.
+template <typename Merge>
+std::vector<ValueVec> Unsalt(const SaltPlan& salt,
+                             std::vector<ValueVec> sub_out, Merge merge,
+                             const std::string& label,
+                             std::optional<StageStats>* unsalt) {
+  std::vector<ValueVec> out(salt.fanout.size());
+  std::vector<int64_t> work;
+  for (size_t p = 0; p < out.size(); ++p) {
+    const auto first = sub_out.begin() + salt.first[p];
+    if (salt.fanout[p] == 1) {
+      out[p] = std::move(*first);
+      continue;
+    }
+    out[p] = merge(std::vector<ValueVec>(
+        std::make_move_iterator(first),
+        std::make_move_iterator(first + salt.fanout[p])));
+    work.push_back(static_cast<int64_t>(out[p].size()));
+  }
+  if (salt.active) {
+    StageStats stage;
+    stage.label = label + ".unsalt";
+    stage.wide = false;
+    stage.map_work = std::move(work);
+    *unsalt = std::move(stage);
+  }
+  return out;
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig config)
@@ -479,19 +690,6 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
   }
   const FaultConfig& fc = config_.faults;
   const int budget = fc.max_task_attempts;
-  // One structured event per failed attempt. EventLog::Emit locks, so
-  // the wave threads may race here without ordering guarantees beyond
-  // the log's own timestamping.
-  auto emit_retry = [&](int p, int attempt, const char* reason) {
-    if (config_.events == nullptr) return;
-    Event e;
-    e.name = "task_retry";
-    e.stage_id = stage;
-    e.ints.emplace_back("partition", p);
-    e.ints.emplace_back("attempt", attempt);
-    e.strs.emplace_back("reason", reason);
-    config_.events->Emit(std::move(e));
-  };
   // Per-task tallies, merged in index order below so the floating-point
   // sums are identical for every host_threads setting.
   std::vector<int64_t> attempts(n, 0);
@@ -505,7 +703,8 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
         // The attempt dies partway through: its work is wasted and the
         // scheduler waits out a backoff before relaunching.
         recovery[p] += task_seconds + RetryBackoff(fc, attempt);
-        emit_retry(p, attempt, "sim_kill");
+        EmitTaskRetry(config_.events, stage, p, "attempt", attempt,
+                      "sim_kill");
         continue;
       }
       Status run = invoke(p, attempt);
@@ -518,12 +717,10 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
       // aborts the stage unchanged.
       if (run.code() != StatusCode::kTaskLost) return run;
       recovery[p] += task_seconds + RetryBackoff(fc, attempt);
-      emit_retry(p, attempt, "task_lost");
+      EmitTaskRetry(config_.events, stage, p, "attempt", attempt,
+                    "task_lost");
     }
-    return Status::RuntimeError(
-        StrCat("stage #", stage, " '", label, "': partition ", p,
-               " failed after ", budget, " attempts; retry budget (", budget,
-               ") exhausted"));
+    return RetryBudgetExhausted(label, stage, p, budget);
   });
   for (int p = 0; p < n; ++p) {
     rec->attempts += attempts[p];
@@ -577,15 +774,7 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
   };
   wave.charge_failure = [&, this, stage](int p, int attempt) {
     recovery[p] += task_seconds(p) + RetryBackoff(fc, attempt);
-    if (config_.events != nullptr) {
-      Event e;
-      e.name = "task_retry";
-      e.stage_id = stage;
-      e.ints.emplace_back("partition", p);
-      e.ints.emplace_back("attempt", attempt);
-      e.strs.emplace_back("reason", "sim_kill");
-      config_.events->Emit(std::move(e));
-    }
+    EmitTaskRetry(config_.events, stage, p, "attempt", attempt, "sim_kill");
   };
   wave.charge_success = [&, this](int p, int attempt) {
     if (!faults_on) return;
@@ -594,12 +783,7 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
   };
   const int budget = wave.max_sim_attempts;
   wave.sim_budget_exhausted = [label, stage, budget](int p) {
-    // Message identical to the local scheduler's, so tests comparing
-    // failure modes across backends see the same error.
-    return Status::RuntimeError(
-        StrCat("stage #", stage, " '", label, "': partition ", p,
-               " failed after ", budget, " attempts; retry budget (", budget,
-               ") exhausted"));
+    return RetryBudgetExhausted(label, stage, p, budget);
   };
   wave.on_dispatch = [&dispatch_t0, tr](int p, int, int) {
     if (tr != nullptr) dispatch_t0[p] = tr->NowUs();
@@ -675,16 +859,8 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
                              pending.size() == 1 ? "" : "s", " re-admitted"));
       span.SetStageId(stage);
     }
-    if (config_.events != nullptr) {
-      for (int p : pending) {
-        Event e;
-        e.name = "task_retry";
-        e.stage_id = stage;
-        e.ints.emplace_back("partition", p);
-        e.ints.emplace_back("worker", worker);
-        e.strs.emplace_back("reason", "worker_lost");
-        config_.events->Emit(std::move(e));
-      }
+    for (int p : pending) {
+      EmitTaskRetry(config_.events, stage, p, "worker", worker, "worker_lost");
     }
     if (config_.dist_lose_on_kill) {
       // Register the dead worker's partitions for lineage recovery at
@@ -888,6 +1064,44 @@ std::shared_ptr<const LineageNode> Engine::MakeLineage(
   return node;
 }
 
+std::shared_ptr<const LineageNode> Engine::WideLineage(
+    std::string kind, const std::string& label, std::vector<Dataset> inputs,
+    WideFinalizer finalize, SourceCombine combine) const {
+  std::vector<std::shared_ptr<const LineageNode>> parents;
+  size_t chain_depth = 0;
+  for (const Dataset& in : inputs) {
+    parents.push_back(in.lineage());
+    chain_depth = std::max(chain_depth, in.chain().size());
+  }
+  const int out_parts = config_.num_partitions;
+  auto recompute_many = [inputs = std::move(inputs),
+                         finalize = std::move(finalize),
+                         combine = std::move(combine), out_parts](
+                            const std::vector<int>& lost,
+                            std::vector<ValueVec>* rebuilt,
+                            int64_t* work) -> Status {
+    // One restricted scatter per input: every source row is scanned and
+    // hashed once, and only lost destinations' rows are kept.
+    std::vector<std::vector<HashedVec>> rows(lost.size());
+    for (const Dataset& side : inputs) {
+      DIABLO_ASSIGN_OR_RETURN(
+          std::vector<HashedVec> scattered,
+          ScatterLost(side, lost, out_parts, work, combine));
+      for (size_t i = 0; i < lost.size(); ++i) {
+        rows[i].push_back(std::move(scattered[i]));
+      }
+    }
+    rebuilt->resize(lost.size());
+    for (size_t i = 0; i < lost.size(); ++i) {
+      DIABLO_ASSIGN_OR_RETURN((*rebuilt)[i], finalize(rows[i]));
+    }
+    return Status::OK();
+  };
+  return MakeLineage(std::move(kind), label, std::move(parents), nullptr,
+                     std::move(recompute_many),
+                     1 + static_cast<int>(chain_depth));
+}
+
 StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
                               const std::string& label) {
   FusedOp op;
@@ -994,9 +1208,6 @@ StatusOr<Dataset> Engine::FilterValues(const Dataset& in, BinOp op,
 StatusOr<Dataset> Engine::Force(const Dataset& in) {
   if (in.materialized()) return in;
   const FusedChain& chain = in.chain();
-  if (config_.columnar && ChainFullyKernelized(chain)) {
-    return ForceColumnar(in);
-  }
   const std::string label = ChainLabel(chain);
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
@@ -1006,35 +1217,43 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
   const int n = src.num_partitions();
   std::vector<ValueVec> out(n);
   std::vector<ChainTally> tallies(n);
-  WaveSlots slots;
-  slots.rows = &out;
-  slots.tallies = &tallies;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        // Restartable: a failed attempt re-runs the whole fused chain.
-        out[p].clear();
-        out[p].reserve(src.partition(p).size());
-        // The last operator's outputs ARE materialized here, so only
-        // the chain.size()-1 interior boundaries count as saved.
-        tallies[p].Reset(chain.size() - 1);
-        for (const Value& row : src.partition(p)) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(chain, 0, row, &tallies[p],
-                         [&](const Value& v) -> Status {
-                           out[p].push_back(v);
-                           return Status::OK();
-                         }));
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
+  Status st;
+  if (config_.columnar && ChainFullyKernelized(chain)) {
+    st = ForceColumnar(src, label, stage, &out, &tallies, &rec);
+  } else {
+    WaveSlots slots;
+    slots.rows = &out;
+    slots.tallies = &tallies;
+    st = RunTaskWave(
+        label, stage, RowCounts(src),
+        [&](int p, int) -> Status {
+          // Restartable: a failed attempt re-runs the whole fused chain.
+          out[p].clear();
+          out[p].reserve(src.partition(p).size());
+          // The last operator's outputs ARE materialized here, so only
+          // the chain.size()-1 interior boundaries count as saved.
+          tallies[p].Reset(chain.size() - 1);
+          for (const Value& row : src.partition(p)) {
+            DIABLO_RETURN_IF_ERROR(
+                ApplyChain(chain, 0, row, &tallies[p],
+                           [&](const Value& v) -> Status {
+                             out[p].push_back(v);
+                             return Status::OK();
+                           }));
+          }
+          return Status::OK();
+        },
+        &rec, &slots);
+  }
   if (!st.ok()) return st;
   StageStats stats = NarrowStats(label, RowCounts(src));
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = RowCounts(out);
   FinishStage(std::move(stats), rec);
+  // Recovery replays the boxed chain, whichever way the forward wave
+  // ran it: replay IS the semantic truth, and a lost partition is the
+  // rare path.
   auto lineage = MakeLineage(
       "fused", label, {src.lineage()},
       [src](int p, int64_t* work) -> StatusOr<ValueVec> {
@@ -1056,18 +1275,15 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
   return Dataset(std::move(out), std::move(lineage));
 }
 
-StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
-  const FusedChain& chain = in.chain();
-  const std::string label = ChainLabel(chain);
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
+Status Engine::ForceColumnar(const Dataset& src, const std::string& label,
+                             int stage, std::vector<ValueVec>* out,
+                             std::vector<ChainTally>* tallies_out,
+                             StageRecovery* rec) {
+  const FusedChain& chain = src.chain();
   const int n = src.num_partitions();
   const bool on_value = chain[0].kernel->on_value;
   std::vector<ColumnBatch> batches(n);
-  std::vector<ChainTally> tallies(n);
+  std::vector<ChainTally>& tallies = *tallies_out;
   WaveSlots slots;
   slots.col_batches = &batches;
   slots.tallies = &tallies;
@@ -1137,44 +1353,10 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
         batches[p] = std::move(batch);
         return Status::OK();
       },
-      &rec, &slots);
+      rec, &slots);
   if (!st.ok()) return st;
-  std::vector<ValueVec> out(n);
-  for (int p = 0; p < n; ++p) batches[p].EmitRows(&out[p]);
-  StageStats stats = NarrowStats(label, RowCounts(src));
-  stats.fused_ops = static_cast<int64_t>(chain.size());
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(stats), rec);
-  // Recovery replays the boxed chain: replay IS the semantic truth, and
-  // a lost partition is the rare path.
-  auto lineage = MakeLineage(
-      "fused", label, {src.lineage()},
-      [src](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        rebuilt.reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(src.chain(), 0, row, nullptr,
-                         [&](const Value& v) -> Status {
-                           rebuilt.push_back(v);
-                           return Status::OK();
-                         }));
-        }
-        return rebuilt;
-      },
-      nullptr, static_cast<int>(chain.size()));
-  return Dataset(std::move(out), std::move(lineage));
-}
-
-StatusOr<const Value*> Engine::RowKey(const Value& row) {
-  if (!row.is_tuple() || row.tuple().size() != 2) {
-    return Status::RuntimeError(
-        StrCat("keyed operator applied to non-pair row: ", row.ToString()));
-  }
-  return &row.tuple()[0];
+  for (int p = 0; p < n; ++p) batches[p].EmitRows(&(*out)[p]);
+  return Status::OK();
 }
 
 StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
@@ -1261,20 +1443,8 @@ StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
       },
       rec, &slots);
   if (!st.ok()) return st;
-  if (shuffle_bytes != nullptr) {
-    *shuffle_bytes = 0;
-    for (int64_t b : moved_bytes) *shuffle_bytes += b;
-  }
-  if (dest_bytes != nullptr) {
-    if (dest_bytes->size() < static_cast<size_t>(out_parts)) {
-      dest_bytes->resize(static_cast<size_t>(out_parts), 0);
-    }
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < out_parts; ++dst) {
-        (*dest_bytes)[dst] += bucket_bytes[src][dst];
-      }
-    }
-  }
+  TallyShuffleBytes(moved_bytes, bucket_bytes, out_parts, shuffle_bytes,
+                    dest_bytes);
   std::vector<HashedVec> out(out_parts);
   for (int dst = 0; dst < out_parts; ++dst) {
     size_t total = 0;
@@ -1431,21 +1601,8 @@ StatusOr<std::vector<TypedRows>> Engine::ShuffleTyped(
       },
       rec, &slots);
   if (!st.ok()) return st;
-  if (shuffle_bytes != nullptr) {
-    *shuffle_bytes = 0;
-    for (int64_t b : moved_bytes) *shuffle_bytes += b;
-  }
-  if (stats != nullptr) {
-    std::vector<int64_t>& dest_bytes = stats->partition_bytes;
-    if (dest_bytes.size() < static_cast<size_t>(out_parts)) {
-      dest_bytes.resize(static_cast<size_t>(out_parts), 0);
-    }
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < out_parts; ++dst) {
-        dest_bytes[dst] += bucket_bytes[src][dst];
-      }
-    }
-  }
+  TallyShuffleBytes(moved_bytes, bucket_bytes, out_parts, shuffle_bytes,
+                    stats != nullptr ? &stats->partition_bytes : nullptr);
   // Concatenate source-order (sources ascending, each pre-sorted by
   // key) — exactly the arrival order of the boxed shuffle, so every
   // per-key fold order downstream is identical. String keys re-intern
@@ -1534,44 +1691,24 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   Status st = RunTaskWave(
       label, reduce_stage, sub_work,
       [&](int t, int) -> Status {
-        sub_out[t].clear();
         reduce_tallies[t].Reset(0);
         const int p = salt.task_of[t];
-        const HashedVec& part = shuffled[p];
         const auto [lo, hi] =
-            ChunkRange(part.size(), salt.index_of[t], salt.fanout[p]);
-        // Values land per key in arrival order; the final sort
-        // canonicalizes the key order.
-        KeyedAccumulator<ValueVec> groups(hi - lo);
-        for (size_t i = lo; i < hi; ++i) {
-          const HashedRow& hr = part[i];
-          const ValueVec& kv = hr.row.tuple();
-          groups.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-        }
-        reduce_tallies[t].accumulator_bytes =
-            static_cast<int64_t>(groups.MemoryBytes());
-        sub_out[t] = GroupedRows(&groups);
+            ChunkRange(shuffled[p].size(), salt.index_of[t], salt.fanout[p]);
+        sub_out[t] = GroupedRows(shuffled[p], lo, hi,
+                                 &reduce_tallies[t].accumulator_bytes);
         return Status::OK();
       },
       &rec, &reduce_slots);
   if (!st.ok()) return st;
-  // Driver-side un-salt: splits merge, unsplit destinations move.
-  std::vector<ValueVec> out(shuffled.size());
   int64_t salted_keys = 0;
-  std::vector<int64_t> unsalt_work;
-  for (size_t p = 0; p < out.size(); ++p) {
-    if (salt.fanout[p] == 1) {
-      out[p] = std::move(sub_out[salt.first[p]]);
-      continue;
-    }
-    std::vector<ValueVec> parts;
-    parts.reserve(salt.fanout[p]);
-    for (int s = 0; s < salt.fanout[p]; ++s) {
-      parts.push_back(std::move(sub_out[salt.first[p] + s]));
-    }
-    out[p] = MergeSortedBags(std::move(parts), &salted_keys);
-    unsalt_work.push_back(static_cast<int64_t>(out[p].size()));
-  }
+  std::optional<StageStats> unsalt;
+  std::vector<ValueVec> out = Unsalt(
+      salt, std::move(sub_out),
+      [&](std::vector<ValueVec> parts) {
+        return MergeSortedBags(std::move(parts), &salted_keys);
+      },
+      label, &unsalt);
   stats.label = FusedStageLabel(src.chain(), label);
   stats.wide = true;
   stats.map_work = RowCounts(src);
@@ -1584,54 +1721,13 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
   for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
-  if (salt.active) {
-    StageStats unsalt;
-    unsalt.label = label + ".unsalt";
-    unsalt.wide = false;
-    unsalt.map_work = std::move(unsalt_work);
-    RecordPlannerStage(std::move(unsalt));
-  }
-  const int out_parts = config_.num_partitions;
-  auto lineage = MakeLineage(
-      "groupByKey", label, {src.lineage()}, nullptr,
-      [src, out_parts](const std::vector<int>& lost,
-                       std::vector<ValueVec>* rebuilt,
-                       int64_t* work) -> Status {
-        // Replay the single-pass scatter restricted to the lost
-        // destinations: every source row is scanned and hashed ONCE;
-        // scanning the source partitions in order reproduces each lost
-        // reduce partition's arrival order exactly, and the final sort
-        // canonicalizes key order just like the forward path.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<ValueVec>> groups(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot >= 0) {
-                    groups[slot].FindOrCreate(h, *key).payload.push_back(
-                        v.tuple()[1]);
-                  }
-                  return Status::OK();
-                }));
-          }
-        }
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          (*rebuilt)[i] = GroupedRows(&groups[i]);
-        }
-        return Status::OK();
-      },
-      1 + static_cast<int>(src.chain().size()));
-  return Dataset(std::move(out), std::move(lineage));
+  if (unsalt) RecordPlannerStage(std::move(*unsalt));
+  return Dataset(
+      std::move(out),
+      WideLineage("groupByKey", label, {src},
+                  [](const std::vector<HashedVec>& rows) -> StatusOr<ValueVec> {
+                    return GroupedRows(rows[0], 0, rows[0].size(), nullptr);
+                  }));
 }
 
 StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
@@ -1727,14 +1823,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       }
       if (try_typed) ++boxed_rows;
       DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
-      const size_t h = key->Hash();
-      auto ref = acc.FindOrCreate(h, *key);
-      if (ref.inserted) {
-        ref.payload = row.tuple()[1];
-      } else {
-        DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, row.tuple()[1]));
-      }
-      return Status::OK();
+      return FoldValue(&acc, fn, key->Hash(), *key, row.tuple()[1]);
     };
     const ValueVec& part = src.partition(p);
     if (typed.has_value() && chain.empty()) {
@@ -1767,12 +1856,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       }
       if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
     } else {
-      acc.SortByKey();
-      combined[slot].reserve(acc.size());
-      for (auto& e : acc.entries()) {
-        combined[slot].push_back(HashedRow{
-            e.hash, Value::MakePair(std::move(e.key), std::move(e.payload))});
-      }
+      combined[slot] = CombinedRows(&acc);
     }
     tallies[slot].columnar_rows_fallback += boxed_rows;
     return Status::OK();
@@ -1869,15 +1953,8 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
                             ShuffleHashed(combined, shuffle_stage, &bytes,
                                           &rec, &stats));
   }
-  std::vector<int64_t> shuffled_counts;
-  if (use_typed_shuffle) {
-    shuffled_counts.reserve(typed_shuffled.size());
-    for (const TypedRows& t : typed_shuffled) {
-      shuffled_counts.push_back(static_cast<int64_t>(t.size()));
-    }
-  } else {
-    shuffled_counts = RowCounts(shuffled);
-  }
+  const std::vector<int64_t> shuffled_counts =
+      use_typed_shuffle ? RowCounts(typed_shuffled) : RowCounts(shuffled);
   // Reduce-side skew mitigation (DESIGN.md §17): an oversized
   // DESTINATION is split into hash STRIPES (RemixHash % k), each folded
   // by its own virtual task. Every row of a key shares the key's hash
@@ -1959,7 +2036,6 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
         KeyedAccumulator<Value> acc(part.size());
         std::optional<TypedReduceAccumulator> typed;
         if (try_typed) typed.emplace(*native_op, part.size());
-        int64_t boxed_rows = 0;
         size_t i = 0;
         if (typed.has_value()) {
           // The hash crossed the shuffle with the row: trust it.
@@ -1976,18 +2052,11 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
           }
           typed->SpillTo(&acc);
         }
-        for (; i < part.size(); ++i) {
-          const HashedRow& hr = part[i];
-          if (try_typed) ++boxed_rows;
-          const ValueVec& kv = hr.row.tuple();
-          auto ref = acc.FindOrCreate(hr.hash, kv[0]);
-          if (ref.inserted) {
-            ref.payload = kv[1];
-          } else {
-            DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, kv[1]));
-          }
+        if (try_typed) {
+          reduce_tallies[t].columnar_rows_fallback +=
+              static_cast<int64_t>(part.size() - i);
         }
-        reduce_tallies[t].columnar_rows_fallback += boxed_rows;
+        DIABLO_RETURN_IF_ERROR(FoldRows(part, i, fn, &acc));
         reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
             acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
         sub_out[t] = ReducedRows(&acc);
@@ -1995,22 +2064,9 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       },
       &rec, &reduce_slots);
   if (!st.ok()) return st;
-  // Driver-side un-salt: striped destinations merge, the rest move.
-  std::vector<ValueVec> out(shuffled_counts.size());
-  std::vector<int64_t> unsalt_work;
-  for (size_t p = 0; p < out.size(); ++p) {
-    if (reduce_salt.fanout[p] == 1) {
-      out[p] = std::move(sub_out[reduce_salt.first[p]]);
-      continue;
-    }
-    std::vector<ValueVec> parts;
-    parts.reserve(reduce_salt.fanout[p]);
-    for (int s = 0; s < reduce_salt.fanout[p]; ++s) {
-      parts.push_back(std::move(sub_out[reduce_salt.first[p] + s]));
-    }
-    out[p] = MergeSortedRows(std::move(parts));
-    unsalt_work.push_back(static_cast<int64_t>(out[p].size()));
-  }
+  std::optional<StageStats> unsalt;
+  std::vector<ValueVec> out =
+      Unsalt(reduce_salt, std::move(sub_out), MergeSortedRows, label, &unsalt);
   for (const ChainTally& t : reduce_tallies) t.MergeInto(&stats);
   stats.label = FusedStageLabel(chain, label);
   stats.wide = true;
@@ -2026,74 +2082,26 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
   for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
-  if (reduce_salt.active) {
-    StageStats unsalt;
-    unsalt.label = label + ".unsalt";
-    unsalt.wide = false;
-    unsalt.map_work = std::move(unsalt_work);
-    RecordPlannerStage(std::move(unsalt));
-  }
-  const int out_parts = config_.num_partitions;
-  auto lineage = MakeLineage(
-      "reduceByKey", label, {src.lineage()}, nullptr,
-      [src, fn, out_parts](const std::vector<int>& lost,
-                           std::vector<ValueVec>* rebuilt,
-                           int64_t* work) -> Status {
-        // Reproduce combine -> shuffle -> fold for the lost destinations
-        // in ONE pass over the source: each produced row is hashed once
-        // and dropped unless its destination was lost. Restricting the
-        // map-side combine to lost-destination keys, and merging each
-        // source partition's combined pairs in key order (the combine
-        // emits them that way), keeps every per-key fold order
-        // identical to the original run, so floating-point results
-        // match bit for bit.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<Value>> acc(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          std::vector<KeyedAccumulator<Value>> part(lost.size());
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot < 0) return Status::OK();
-                  auto ref = part[slot].FindOrCreate(h, *key);
-                  if (ref.inserted) {
-                    ref.payload = v.tuple()[1];
-                  } else {
-                    DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                            fn(ref.payload, v.tuple()[1]));
-                  }
-                  return Status::OK();
-                }));
-          }
-          for (size_t i = 0; i < lost.size(); ++i) {
-            part[i].SortByKey();
-            for (auto& e : part[i].entries()) {
-              auto ref = acc[i].FindOrCreate(e.hash, e.key);
-              if (ref.inserted) {
-                ref.payload = std::move(e.payload);
-              } else {
-                DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                        fn(ref.payload, e.payload));
-              }
-            }
-          }
-        }
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          (*rebuilt)[i] = ReducedRows(&acc[i]);
-        }
-        return Status::OK();
-      },
-      1 + static_cast<int>(src.chain().size()));
-  return Dataset(std::move(out), std::move(lineage));
+  if (unsalt) RecordPlannerStage(std::move(*unsalt));
+  // Recovery replays the boxed leg: each source partition's chain output
+  // folds into the same key-sorted combine the forward boxed leg ships,
+  // the restricted scatter routes it, and the reduce side folds each lost
+  // destination's arrivals in order. Per-key fold order, and with it
+  // every floating-point bit, matches the forward run.
+  return Dataset(
+      std::move(out),
+      WideLineage(
+          "reduceByKey", label, {src},
+          [fn](const std::vector<HashedVec>& rows) -> StatusOr<ValueVec> {
+            KeyedAccumulator<Value> acc(rows[0].size());
+            DIABLO_RETURN_IF_ERROR(FoldRows(rows[0], 0, fn, &acc));
+            return ReducedRows(&acc);
+          },
+          [fn](HashedVec rows) -> StatusOr<HashedVec> {
+            KeyedAccumulator<Value> acc(rows.size());
+            DIABLO_RETURN_IF_ERROR(FoldRows(rows, 0, fn, &acc));
+            return CombinedRows(&acc);
+          }));
 }
 
 StatusOr<Dataset> Engine::ReduceByKey(const Dataset& in, const ReduceFn& fn,
@@ -2110,6 +2118,26 @@ StatusOr<Dataset> Engine::ReduceByKey(const Dataset& in, BinOp op,
       &op, schema, label);
 }
 
+StatusOr<Engine::CoShuffled> Engine::RecoverAndShuffleBoth(
+    const Dataset& left, const Dataset& right, const std::string& label,
+    int left_stage, int right_stage, StageRecovery* rec, StageStats* stats) {
+  CoShuffled in;
+  DIABLO_ASSIGN_OR_RETURN(in.left, RecoverInput(left, left_stage, 0, rec));
+  DIABLO_ASSIGN_OR_RETURN(in.right, RecoverInput(right, left_stage, 1, rec));
+  int64_t bytes_l = 0, bytes_r = 0;
+  DIABLO_ASSIGN_OR_RETURN(
+      in.ls, ShuffleWave(in.left, left_stage, &bytes_l, rec, stats));
+  DIABLO_ASSIGN_OR_RETURN(
+      in.rs, ShuffleWave(in.right, right_stage, &bytes_r, rec, stats));
+  stats->label = FusedStageLabel(in.left.chain(),
+                                 FusedStageLabel(in.right.chain(), label));
+  stats->wide = true;
+  stats->map_work = RowCounts(in.left);
+  for (int64_t c : RowCounts(in.right)) stats->map_work.push_back(c);
+  stats->shuffle_bytes = bytes_l + bytes_r;
+  return in;
+}
+
 StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
                                const std::string& label) {
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
@@ -2119,116 +2147,35 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
   stage_span.SetStageId(left_stage);
   StageRecovery rec;
   StageStats stats;
-  // Loss directives address both inputs at the operator's first stage:
-  // input 0 is the left side, input 1 the right.
-  DIABLO_ASSIGN_OR_RETURN(Dataset l, RecoverInput(left, left_stage, 0, &rec));
-  DIABLO_ASSIGN_OR_RETURN(Dataset r, RecoverInput(right, left_stage, 1, &rec));
-  int64_t bytes_l = 0, bytes_r = 0;
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> ls,
-                          ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
-                          ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  std::vector<ValueVec> out(ls.size());
-  std::vector<int64_t> reduce_work(ls.size(), 0);
+  DIABLO_ASSIGN_OR_RETURN(CoShuffled in,
+                          RecoverAndShuffleBoth(left, right, label, left_stage,
+                                                right_stage, &rec, &stats));
+  std::vector<ValueVec> out(in.ls.size());
+  std::vector<int64_t> reduce_work(in.ls.size(), 0);
   WaveSlots join_slots;
   join_slots.rows = &out;
   join_slots.nums = &reduce_work;
   Status st = RunTaskWave(
-      label, join_stage, RowCounts(ls),
+      label, join_stage, RowCounts(in.ls),
       [&](int p, int) -> Status {
-        out[p].clear();
-        reduce_work[p] = static_cast<int64_t>(ls[p].size());
-        // Build from the left rows in arrival order, probe with the right
-        // rows in arrival order: the output sequence is the probe order,
-        // so no final sort is needed. Both sides reuse the carried hashes.
-        KeyedAccumulator<ValueVec> build(ls[p].size());
-        for (const HashedRow& hr : ls[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-        }
-        for (const HashedRow& hr : rs[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          reduce_work[p] += 1;
-          ValueVec* lvs = build.Find(hr.hash, kv[0]);
-          if (lvs == nullptr) continue;
-          for (const Value& lv : *lvs) {
-            out[p].push_back(
-                Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-            reduce_work[p] += 1;
-          }
-        }
+        out[p] = JoinedRows(in.ls[p], in.rs[p]);
+        // One work unit per build row, probe row and output row.
+        reduce_work[p] = static_cast<int64_t>(in.ls[p].size() +
+                                              in.rs[p].size() + out[p].size());
         return Status::OK();
       },
       &rec, &join_slots);
   if (!st.ok()) return st;
-  stats.label = FusedStageLabel(l.chain(), FusedStageLabel(r.chain(), label));
-  stats.wide = true;
-  stats.map_work = RowCounts(l);
-  for (int64_t c : RowCounts(r)) stats.map_work.push_back(c);
   stats.reduce_work = std::move(reduce_work);
-  stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
-  for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
+  for (int64_t c : RowCounts(in.ls)) stats.hash_agg_rows += c;
   FinishStage(std::move(stats), rec);
-  const int out_parts = config_.num_partitions;
-  const int chain_depth = static_cast<int>(
-      std::max(l.chain().size(), r.chain().size()));
-  auto lineage = MakeLineage(
-      "join", label, {l.lineage(), r.lineage()}, nullptr,
-      [l, r, out_parts](const std::vector<int>& lost,
-                        std::vector<ValueVec>* rebuilt,
-                        int64_t* work) -> Status {
-        // Rebuild the lost post-shuffle partitions of both sides in one
-        // pass per side (each produced row hashed once, kept with its
-        // memoized hash only when its destination was lost), then
-        // replay the hash join. Scanning sources in order restores the
-        // arrival order, so the probe-order output matches exactly.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<HashedVec> lrows(lost.size()), rrows(lost.size());
-        auto scatter = [&](const Dataset& side,
-                           std::vector<HashedVec>& dest) -> Status {
-          for (int s = 0; s < side.num_partitions(); ++s) {
-            for (const Value& row : side.partition(s)) {
-              *work += 1;
-              DIABLO_RETURN_IF_ERROR(ApplyChain(
-                  side.chain(), 0, row, nullptr,
-                  [&](const Value& v) -> Status {
-                    DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                    const size_t h = key->Hash();
-                    const int slot = slot_of[HashDestination(h, out_parts)];
-                    if (slot >= 0) dest[slot].push_back(HashedRow{h, v});
-                    return Status::OK();
+  return Dataset(
+      std::move(out),
+      WideLineage("join", label, {in.left, in.right},
+                  [](const std::vector<HashedVec>& rows) -> StatusOr<ValueVec> {
+                    return JoinedRows(rows[0], rows[1]);
                   }));
-            }
-          }
-          return Status::OK();
-        };
-        DIABLO_RETURN_IF_ERROR(scatter(l, lrows));
-        DIABLO_RETURN_IF_ERROR(scatter(r, rrows));
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          KeyedAccumulator<ValueVec> build(lrows[i].size());
-          for (const HashedRow& hr : lrows[i]) {
-            const ValueVec& kv = hr.row.tuple();
-            build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rrows[i]) {
-            const ValueVec& kv = hr.row.tuple();
-            ValueVec* lvs = build.Find(hr.hash, kv[0]);
-            if (lvs == nullptr) continue;
-            for (const Value& lv : *lvs) {
-              (*rebuilt)[i].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-            }
-          }
-        }
-        return Status::OK();
-      },
-      1 + chain_depth);
-  return Dataset(std::move(out), std::move(lineage));
 }
 
 StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
@@ -2240,96 +2187,35 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
   stage_span.SetStageId(left_stage);
   StageRecovery rec;
   StageStats stats;
-  DIABLO_ASSIGN_OR_RETURN(Dataset l, RecoverInput(left, left_stage, 0, &rec));
-  DIABLO_ASSIGN_OR_RETURN(Dataset r, RecoverInput(right, left_stage, 1, &rec));
-  int64_t bytes_l = 0, bytes_r = 0;
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> ls,
-                          ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
-                          ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  std::vector<ValueVec> out(ls.size());
-  std::vector<int64_t> reduce_work(ls.size(), 0);
+  DIABLO_ASSIGN_OR_RETURN(CoShuffled in,
+                          RecoverAndShuffleBoth(left, right, label, left_stage,
+                                                right_stage, &rec, &stats));
+  std::vector<ValueVec> out(in.ls.size());
+  std::vector<int64_t> reduce_work(in.ls.size(), 0);
   WaveSlots cg_slots;
   cg_slots.rows = &out;
   cg_slots.nums = &reduce_work;
   Status st = RunTaskWave(
-      label, cogroup_stage, RowCounts(ls),
+      label, cogroup_stage, RowCounts(in.ls),
       [&](int p, int) -> Status {
-        out[p].clear();
-        reduce_work[p] = static_cast<int64_t>(ls[p].size()) +
-                         static_cast<int64_t>(rs[p].size());
-        KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(
-            ls[p].size() + rs[p].size());
-        for (const HashedRow& hr : ls[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          groups.FindOrCreate(hr.hash, kv[0]).payload.first.push_back(kv[1]);
-        }
-        for (const HashedRow& hr : rs[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          groups.FindOrCreate(hr.hash, kv[0]).payload.second.push_back(kv[1]);
-        }
-        out[p] = CoGroupedRows(&groups);
+        reduce_work[p] =
+            static_cast<int64_t>(in.ls[p].size() + in.rs[p].size());
+        out[p] = CoGroupedRows(in.ls[p], in.rs[p]);
         return Status::OK();
       },
       &rec, &cg_slots);
   if (!st.ok()) return st;
-  stats.label = FusedStageLabel(l.chain(), FusedStageLabel(r.chain(), label));
-  stats.wide = true;
-  stats.map_work = RowCounts(l);
-  for (int64_t c : RowCounts(r)) stats.map_work.push_back(c);
   stats.reduce_work = std::move(reduce_work);
-  stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
   for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
   for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
-  const int out_parts = config_.num_partitions;
-  const int chain_depth = static_cast<int>(
-      std::max(l.chain().size(), r.chain().size()));
-  auto lineage = MakeLineage(
-      "coGroup", label, {l.lineage(), r.lineage()}, nullptr,
-      [l, r, out_parts](const std::vector<int>& lost,
-                        std::vector<ValueVec>* rebuilt,
-                        int64_t* work) -> Status {
-        // Single-pass scatter per side, restricted to lost destinations;
-        // each produced row's key hashes once. SortByKey canonicalizes
-        // the rebuilt groups to match the forward path byte-for-byte.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<std::pair<ValueVec, ValueVec>>> groups(
-            lost.size());
-        auto scatter = [&](const Dataset& side, bool is_left) -> Status {
-          for (int s = 0; s < side.num_partitions(); ++s) {
-            for (const Value& row : side.partition(s)) {
-              *work += 1;
-              DIABLO_RETURN_IF_ERROR(ApplyChain(
-                  side.chain(), 0, row, nullptr,
-                  [&](const Value& v) -> Status {
-                    DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                    const size_t h = key->Hash();
-                    const int slot = slot_of[HashDestination(h, out_parts)];
-                    if (slot < 0) return Status::OK();
-                    auto& sides = groups[slot].FindOrCreate(h, *key).payload;
-                    (is_left ? sides.first : sides.second)
-                        .push_back(v.tuple()[1]);
-                    return Status::OK();
+  return Dataset(
+      std::move(out),
+      WideLineage("coGroup", label, {in.left, in.right},
+                  [](const std::vector<HashedVec>& rows) -> StatusOr<ValueVec> {
+                    return CoGroupedRows(rows[0], rows[1]);
                   }));
-            }
-          }
-          return Status::OK();
-        };
-        DIABLO_RETURN_IF_ERROR(scatter(l, /*is_left=*/true));
-        DIABLO_RETURN_IF_ERROR(scatter(r, /*is_left=*/false));
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          (*rebuilt)[i] = CoGroupedRows(&groups[i]);
-        }
-        return Status::OK();
-      },
-      1 + chain_depth);
-  return Dataset(std::move(out), std::move(lineage));
 }
 
 StatusOr<Dataset> Engine::Union(const Dataset& in_a, const Dataset& in_b) {
@@ -2398,12 +2284,7 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   Status st = RunTaskWave(
       label, dedup_stage, RowCounts(shuffled),
       [&](int p, int) -> Status {
-        out[p].clear();
-        KeyedAccumulator<NoPayload> seen(shuffled[p].size());
-        for (const HashedRow& hr : shuffled[p]) {
-          seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
-        }
-        out[p] = DistinctRows(&seen);
+        out[p] = DistinctRows(shuffled[p]);
         return Status::OK();
       },
       &rec, &dedup_slots);
@@ -2417,42 +2298,12 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
   for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
-  const int out_parts = config_.num_partitions;
-  auto lineage = MakeLineage(
-      "distinct", label, {src.lineage()}, nullptr,
-      [src, out_parts](const std::vector<int>& lost,
-                       std::vector<ValueVec>* rebuilt,
-                       int64_t* work) -> Status {
-        // Single-pass scatter restricted to the lost destinations; each
-        // key hashes once and the final sort canonicalizes the rebuilt
-        // partition to match the forward path byte-for-byte.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<NoPayload>> seen(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot >= 0) seen[slot].FindOrCreate(h, *key);
-                  return Status::OK();
-                }));
-          }
-        }
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          (*rebuilt)[i] = DistinctRows(&seen[i]);
-        }
-        return Status::OK();
-      },
-      1 + static_cast<int>(src.chain().size()));
-  return Dataset(std::move(out), std::move(lineage));
+  return Dataset(
+      std::move(out),
+      WideLineage("distinct", label, {src},
+                  [](const std::vector<HashedVec>& rows) -> StatusOr<ValueVec> {
+                    return DistinctRows(rows[0]);
+                  }));
 }
 
 StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
@@ -2524,6 +2375,22 @@ StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
 StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in,
                                               const ReduceFn& fn,
                                               const std::string& label) {
+  return ReduceImpl(in, fn, nullptr, label);
+}
+
+StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
+                                              const std::string& label) {
+  ReduceFn fn = [op](const Value& a, const Value& b) {
+    return EvalBinOp(op, a, b);
+  };
+  const bool typed = config_.columnar && TypedFold::SupportsOp(op);
+  return ReduceImpl(in, fn, typed ? &op : nullptr, label);
+}
+
+StatusOr<std::optional<Value>> Engine::ReduceImpl(const Dataset& in,
+                                                  const ReduceFn& fn,
+                                                  const BinOp* typed_op,
+                                                  const std::string& label) {
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
@@ -2532,6 +2399,11 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in,
   const FusedChain& chain = src.chain();
   // Per-partition partial reduce (with any pending fused chain folding
   // straight into the partial), then combine partials on the driver.
+  // With `typed_op` each partial folds with native int64/double
+  // arithmetic (TypedFold) in arrival order — bit-identical to
+  // EvalBinOp, including the int->double promotion when a double
+  // appears mid-fold. A row of any other kind converts the typed
+  // partial to a boxed accumulator and continues with `fn`.
   std::vector<std::optional<Value>> partials(src.num_partitions());
   std::vector<ChainTally> tallies(src.num_partitions());
   WaveSlots reduce_slots;
@@ -2542,78 +2414,17 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in,
       [&](int p, int) -> Status {
         partials[p].reset();
         tallies[p].Reset(chain.size());
-        for (const Value& row : src.partition(p)) {
-          DIABLO_RETURN_IF_ERROR(ApplyChain(
-              chain, 0, row, &tallies[p],
-              [&](const Value& v) -> Status {
-                if (!partials[p].has_value()) {
-                  partials[p] = v;
-                } else {
-                  DIABLO_ASSIGN_OR_RETURN(*partials[p], fn(*partials[p], v));
-                }
-                return Status::OK();
-              }));
-        }
-        return Status::OK();
-      },
-      &rec, &reduce_slots);
-  if (!st.ok()) return st;
-  StageStats stats = NarrowStats(label, RowCounts(src));
-  stats.fused_ops = static_cast<int64_t>(chain.size());
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  FinishStage(std::move(stats), rec);
-  std::optional<Value> acc;
-  for (auto& part : partials) {
-    if (!part.has_value()) continue;
-    if (!acc.has_value()) {
-      acc = std::move(part);
-    } else {
-      DIABLO_ASSIGN_OR_RETURN(*acc, fn(*acc, *part));
-    }
-  }
-  return acc;
-}
-
-StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
-                                              const std::string& label) {
-  ReduceFn fn = [op](const Value& a, const Value& b) {
-    return EvalBinOp(op, a, b);
-  };
-  if (!config_.columnar || !TypedFold::SupportsOp(op)) {
-    return Reduce(in, fn, label);
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  const FusedChain& chain = src.chain();
-  // Same shape as the closure Reduce, but each partition's partial folds
-  // with native int64/double arithmetic (TypedFold) in arrival order —
-  // bit-identical to EvalBinOp, including the int->double promotion when
-  // a double appears mid-fold. A row of any other kind converts the
-  // typed partial to a boxed accumulator and continues with EvalBinOp.
-  std::vector<std::optional<Value>> partials(src.num_partitions());
-  std::vector<ChainTally> tallies(src.num_partitions());
-  WaveSlots reduce_slots;
-  reduce_slots.partials = &partials;
-  reduce_slots.tallies = &tallies;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        partials[p].reset();
-        tallies[p].Reset(chain.size());
-        TypedFold fold(op);
-        bool typed_active = true;
+        std::optional<TypedFold> fold;
+        if (typed_op != nullptr) fold.emplace(*typed_op);
         int64_t boxed_rows = 0;
         for (const Value& row : src.partition(p)) {
           DIABLO_RETURN_IF_ERROR(ApplyChain(
               chain, 0, row, &tallies[p],
               [&](const Value& v) -> Status {
-                if (typed_active) {
-                  if (fold.Add(v)) return Status::OK();
-                  if (!fold.empty()) partials[p] = fold.Result();
-                  typed_active = false;
+                if (fold.has_value()) {
+                  if (fold->Add(v)) return Status::OK();
+                  if (!fold->empty()) partials[p] = fold->Result();
+                  fold.reset();
                 }
                 ++boxed_rows;
                 if (!partials[p].has_value()) {
@@ -2624,10 +2435,10 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
                 return Status::OK();
               }));
         }
-        if (typed_active) {
-          if (fold.rows() > 0) tallies[p].columnar_batches += 1;
-          if (!fold.empty()) partials[p] = fold.Result();
-        } else {
+        if (fold.has_value()) {
+          if (fold->rows() > 0) tallies[p].columnar_batches += 1;
+          if (!fold->empty()) partials[p] = fold->Result();
+        } else if (typed_op != nullptr) {
           tallies[p].columnar_rows_fallback += boxed_rows;
         }
         return Status::OK();

@@ -472,15 +472,17 @@ class Engine {
       const std::vector<TypedRows>& in, int stage, int64_t* shuffle_bytes,
       StageRecovery* rec, StageStats* stats);
 
-  /// Columnar Force (EngineConfig::columnar): runs a fully-kernelized
-  /// fused chain as column batches — one unbox per source row, each
-  /// kernel a vector loop over the typed payload, one re-box per
-  /// surviving row. A partition whose rows don't columnarize replays the
-  /// boxed per-row chain (byte-identical by construction) and is counted
-  /// in StageStats::columnar_rows_fallback. Under the distributed
-  /// backend the batches themselves cross the wire (wave_io col_batches
-  /// slot); the driver re-boxes after the wave.
-  StatusOr<Dataset> ForceColumnar(const Dataset& in);
+  /// Force's columnar wave (EngineConfig::columnar): runs `src`'s
+  /// fully-kernelized fused chain as column batches — one unbox per
+  /// source row, each kernel a vector loop over the typed payload, one
+  /// re-box per surviving row — into `out`. A partition whose rows don't
+  /// columnarize replays the boxed per-row chain (byte-identical by
+  /// construction) and is counted in StageStats::columnar_rows_fallback.
+  /// Under the distributed backend the batches themselves cross the wire
+  /// (wave_io col_batches slot); the driver re-boxes after the wave.
+  Status ForceColumnar(const Dataset& src, const std::string& label,
+                       int stage, std::vector<ValueVec>* out,
+                       std::vector<ChainTally>* tallies, StageRecovery* rec);
 
   /// Shared implementation of both ReduceByKey overloads. `native_op`
   /// is non-null when the reduction is a built-in operator the columnar
@@ -490,6 +492,14 @@ class Engine {
                                     const BinOp* native_op,
                                     const ColumnSchema& schema,
                                     const std::string& label);
+
+  /// Shared implementation of both Reduce overloads. `typed_op` is
+  /// non-null when the columnar TypedFold may fold the partials; `fn` is
+  /// always the semantic truth (and the fallback).
+  StatusOr<std::optional<Value>> ReduceImpl(const Dataset& in,
+                                            const ReduceFn& fn,
+                                            const BinOp* typed_op,
+                                            const std::string& label);
 
   /// Merges `rec` into `stats` and records the stage.
   void FinishStage(StageStats stats, const StageRecovery& rec);
@@ -505,7 +515,39 @@ class Engine {
       LineageNode::RecomputeManyFn recompute_many = nullptr,
       int depth_increment = 1) const;
 
-  static StatusOr<const Value*> RowKey(const Value& row);
+  /// One destination partition's output rows of a wide operator, from
+  /// its post-shuffle rows: rows[k] are input k's, in arrival order.
+  using WideFinalizer =
+      std::function<StatusOr<ValueVec>(const std::vector<HashedVec>& rows)>;
+
+  /// The lineage node of a wide operator (groupByKey, reduceByKey, join,
+  /// coGroup, distinct) over `inputs`. Recovery runs the restricted
+  /// scatter of each input (ScatterLost in engine.cc; `combine`, when
+  /// set, is applied to each source partition's rows before routing),
+  /// then `finalize` on every lost destination — the same per-destination
+  /// function the forward task runs.
+  std::shared_ptr<const LineageNode> WideLineage(
+      std::string kind, const std::string& label, std::vector<Dataset> inputs,
+      WideFinalizer finalize,
+      std::function<StatusOr<HashedVec>(HashedVec)> combine = nullptr) const;
+
+  /// Both inputs of Join or CoGroup after RecoverAndShuffleBoth.
+  struct CoShuffled {
+    Dataset left, right;
+    std::vector<HashedVec> ls, rs;  ///< post-shuffle rows per destination
+  };
+
+  /// Join and CoGroup's shared front half. Recovers both inputs (loss
+  /// directives address them as inputs 0 and 1 of `left_stage`),
+  /// shuffles the left at `left_stage` and the right at `right_stage`,
+  /// and fills the stats both operators record alike: label, map work,
+  /// shuffle bytes.
+  StatusOr<CoShuffled> RecoverAndShuffleBoth(const Dataset& left,
+                                             const Dataset& right,
+                                             const std::string& label,
+                                             int left_stage, int right_stage,
+                                             StageRecovery* rec,
+                                             StageStats* stats);
 
   EngineConfig config_;
   Metrics metrics_;

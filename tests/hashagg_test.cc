@@ -398,31 +398,216 @@ TEST(HashAggProperty, HashUnderFaultsMatchesOrderedFaultFree) {
   }
 }
 
+// Recovery mix: every wide operator reads its input through a pending
+// map+filter chain, and every wide operator's output reaches a later
+// stage through one, so losing a partition of that later stage's input
+// replays the operator's lineage. The consumers are
+//   sums (reduceByKey) and groups (groupByKey)  <- kept (source + chain)
+//   joined (join)      <- groups, sums
+//   cogrouped (coGroup) <- joined, sums
+//   uniq (distinct)    <- cogrouped
+//   final (fused map+filter) <- uniq
+// `kinds` receives, per consumer label, the lineage kind of each input.
+Value RecoveryRekey(const Value& row) {
+  return Value::MakePair(I(row.tuple()[0].AsInt() % 17), row.tuple()[1]);
+}
+bool RecoveryKeep(const Value& row) {
+  return row.tuple()[1].AsDouble() > -40.0;
+}
+// (k, Bag) -> (k, (bag size, Bag)): the bag's order stays observable.
+Value RecoveryLeft(const Value& row) {
+  const ValueVec& bag = row.tuple()[1].bag();
+  return Value::MakePair(
+      row.tuple()[0],
+      Value::MakePair(I(static_cast<int64_t>(bag.size())), row.tuple()[1]));
+}
+bool RecoveryManyValues(const Value& row) {
+  return row.tuple()[1].tuple()[0].AsInt() > 1;
+}
+Value RecoveryHalf(const Value& v) { return D(v.AsDouble() * 0.5); }
+// (k, (left, right)) -> (k, right)
+Value RecoveryJoinedRight(const Value& row) {
+  return Value::MakePair(row.tuple()[0], row.tuple()[1].tuple()[1]);
+}
+Value RecoveryIdentity(const Value& row) { return row; }
+
+StatusOr<ValueVec> RecoveryMix(
+    Engine& engine, const ValueVec& rows,
+    std::map<std::string, std::vector<std::string>>* kinds) {
+  using Fn = Value (*)(const Value&);
+  auto map = [&](const Dataset& in, Fn fn, const std::string& label) {
+    return engine.Map(
+        in, [fn](const Value& v) -> StatusOr<Value> { return fn(v); }, label);
+  };
+  auto filter = [&](const Dataset& in, bool (*pred)(const Value&),
+                    const std::string& label) {
+    return engine.Filter(
+        in, [pred](const Value& v) -> StatusOr<bool> { return pred(v); },
+        label);
+  };
+  auto drop_key = [&](const Dataset& in, int64_t key,
+                      const std::string& label) {
+    return engine.Filter(
+        in,
+        [key](const Value& v) -> StatusOr<bool> {
+          return v.tuple()[0].AsInt() != key;
+        },
+        label);
+  };
+  auto note = [&](const std::string& consumer,
+                  std::vector<const Dataset*> inputs) {
+    for (const Dataset* in : inputs) {
+      (*kinds)[consumer].push_back(in->lineage()->kind);
+    }
+  };
+  Dataset ds = engine.Parallelize(rows);
+  DIABLO_ASSIGN_OR_RETURN(Dataset kept, map(ds, RecoveryRekey, "m.rekey"));
+  DIABLO_ASSIGN_OR_RETURN(kept, filter(kept, RecoveryKeep, "f.keep"));
+  note("sums", {&kept});
+  DIABLO_ASSIGN_OR_RETURN(Dataset sums,
+                          engine.ReduceByKey(kept, BinOp::kAdd, "sums"));
+  note("groups", {&kept});
+  DIABLO_ASSIGN_OR_RETURN(Dataset groups, engine.GroupByKey(kept, "groups"));
+
+  DIABLO_ASSIGN_OR_RETURN(Dataset left, map(groups, RecoveryLeft, "m.left"));
+  DIABLO_ASSIGN_OR_RETURN(left, filter(left, RecoveryManyValues, "f.left"));
+  DIABLO_ASSIGN_OR_RETURN(
+      Dataset right,
+      engine.MapValues(
+          sums,
+          [](const Value& v) -> StatusOr<Value> { return RecoveryHalf(v); },
+          "m.right"));
+  DIABLO_ASSIGN_OR_RETURN(right, drop_key(right, 3, "f.right"));
+  note("joined", {&left, &right});
+  DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(left, right, "joined"));
+
+  DIABLO_ASSIGN_OR_RETURN(Dataset cg_left,
+                          map(joined, RecoveryJoinedRight, "m.cg"));
+  DIABLO_ASSIGN_OR_RETURN(cg_left, drop_key(cg_left, 6, "f.cg"));
+  note("cogrouped", {&cg_left, &sums});
+  DIABLO_ASSIGN_OR_RETURN(Dataset cg,
+                          engine.CoGroup(cg_left, sums, "cogrouped"));
+
+  DIABLO_ASSIGN_OR_RETURN(Dataset cg_rows, map(cg, RecoveryIdentity, "m.rows"));
+  DIABLO_ASSIGN_OR_RETURN(cg_rows, drop_key(cg_rows, 2, "f.rows"));
+  note("uniq", {&cg_rows});
+  DIABLO_ASSIGN_OR_RETURN(Dataset uniq, engine.Distinct(cg_rows, "uniq"));
+
+  DIABLO_ASSIGN_OR_RETURN(Dataset fin, map(uniq, RecoveryIdentity, "final.m"));
+  DIABLO_ASSIGN_OR_RETURN(fin, drop_key(fin, 5, "final"));
+  note("final", {&fin});
+  DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(fin));
+  for (const Dataset* ds_out : {&joined, &cg}) {
+    DIABLO_ASSIGN_OR_RETURN(ValueVec more, engine.Collect(*ds_out));
+    out.insert(out.end(), more.begin(), more.end());
+  }
+  return out;
+}
+
+ValueVec RecoveryMixOracle(const ValueVec& rows, int parts) {
+  std::vector<ValueVec> kept = oracle::Chunks(rows, parts);
+  for (ValueVec& chunk : kept) {
+    ValueVec next;
+    for (const Value& row : chunk) {
+      Value rekeyed = RecoveryRekey(row);
+      if (RecoveryKeep(rekeyed)) next.push_back(std::move(rekeyed));
+    }
+    chunk = std::move(next);
+  }
+  const std::map<Value, Value> sums = oracle::ReduceByKey(kept, BinOp::kAdd);
+  std::map<Value, ValueVec> left;
+  for (const auto& [k, vs] : oracle::GroupByKey(oracle::Concat(kept))) {
+    const Value row = RecoveryLeft(Value::MakePair(k, Value::MakeBag(vs)));
+    if (RecoveryManyValues(row)) left[k] = {row.tuple()[1]};
+  }
+  std::map<Value, Value> right;
+  for (const auto& [k, sum] : sums) {
+    if (k.AsInt() != 3) right.emplace(k, RecoveryHalf(sum));
+  }
+  const ValueVec joined = oracle::JoinLayout(left, right, parts);
+  std::map<Value, Value> cg_left;
+  for (const Value& row : joined) {
+    if (row.tuple()[0].AsInt() != 6) {
+      cg_left.emplace(row.tuple()[0], row.tuple()[1].tuple()[1]);
+    }
+  }
+  const ValueVec cg = oracle::HashLayout(
+      sums, parts, [&](const Value& k, const Value& sum) {
+        auto l = cg_left.find(k);
+        return Value::MakePair(
+            k, Value::MakePair(
+                   Value::MakeBag(l == cg_left.end() ? ValueVec{}
+                                                     : ValueVec{l->second}),
+                   Value::MakeBag({sum})));
+      });
+  std::map<Value, bool> distinct;
+  for (const Value& row : cg) {
+    if (row.tuple()[0].AsInt() != 2) distinct[row] = true;
+  }
+  ValueVec out;
+  for (const Value& row : oracle::HashLayout(
+           distinct, parts, [](const Value& row, bool) { return row; })) {
+    if (row.tuple()[0].AsInt() != 5) out.push_back(row);
+  }
+  out.insert(out.end(), joined.begin(), joined.end());
+  out.insert(out.end(), cg.begin(), cg.end());
+  return out;
+}
+
 TEST(HashAggProperty, LostPartitionRecoveryUsesAccumulatorReplay) {
-  // Deterministic lost-partition directives drive the recompute_many
-  // closures (the accumulator-based replay paths) for every wide
-  // operator in the mix; the rebuilt partitions must be byte-identical.
+  // Deterministic lost-partition directives, swept over every stage id
+  // and both input indexes, drive the recompute_many closures of all
+  // five wide operators (RecoveryMix). Each faulty run must equal the
+  // clean run byte for byte, at 1 and 4 host threads, and the clean run
+  // must equal the sequential oracle.
   std::mt19937_64 rng(4242);
   ValueVec rows = WorkloadInput(/*which=*/2, rng);
-  EngineConfig clean_config;
-  Engine clean(clean_config);
-  auto expected = RunWorkload(clean, 2, rows);
+  std::map<std::string, std::vector<std::string>> kinds;
+  Engine clean{EngineConfig()};
+  auto expected = RecoveryMix(clean, rows, &kinds);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(*expected,
+            RecoveryMixOracle(rows, clean.config().num_partitions));
 
-  int64_t fired = 0;
-  for (int stage = 0; stage < 8; ++stage) {
-    EngineConfig config;
-    config.faults.lose_partitions.push_back({stage, 2, 0});
-    Engine engine(config);
-    auto got = RunWorkload(engine, 2, rows);
-    ASSERT_TRUE(got.ok()) << "stage " << stage << ": "
-                          << got.status().ToString();
-    EXPECT_EQ(*got, *expected) << "stage " << stage;
-    fired += engine.metrics().total_recomputed_partitions();
+  std::map<std::string, int64_t> rebuilt_by_kind;
+  for (int host_threads : {1, 4}) {
+    for (int stage = 0; stage < 16; ++stage) {
+      for (int input = 0; input < 2; ++input) {
+        SCOPED_TRACE(::testing::Message() << "threads " << host_threads
+                                          << " stage " << stage << " input "
+                                          << input);
+        EngineConfig config;
+        config.host_threads = host_threads;
+        config.faults.lose_partitions.push_back({stage, 2, input});
+        config.faults.lose_partitions.push_back({stage, 5, input});
+        Engine engine(config);
+        std::map<std::string, std::vector<std::string>> unused;
+        auto got = RecoveryMix(engine, rows, &unused);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, *expected);
+        // Only the consumer at `stage` lost anything. Its stage label
+        // ends in "+<consumer>" and names the kind that was rebuilt.
+        for (const StageStats& s : engine.metrics().stages()) {
+          if (s.recomputed_partitions == 0) continue;
+          for (const auto& [consumer, input_kinds] : kinds) {
+            const std::string suffix = "+" + consumer;
+            if (s.label.size() < suffix.size() ||
+                s.label.compare(s.label.size() - suffix.size(),
+                                suffix.size(), suffix) != 0) {
+              continue;
+            }
+            ASSERT_LT(static_cast<size_t>(input), input_kinds.size())
+                << s.label;
+            rebuilt_by_kind[input_kinds[input]] += s.recomputed_partitions;
+          }
+        }
+      }
+    }
   }
-  // Not every stage id consumes a shuffle input, but several must have
-  // replayed a lost partition through the accumulator-based closures.
-  EXPECT_GE(fired, 3);
+  for (const char* kind :
+       {"groupByKey", "reduceByKey", "join", "coGroup", "distinct"}) {
+    EXPECT_GT(rebuilt_by_kind[kind], 0) << kind;
+  }
 }
 
 TEST(HashAggProperty, DistinctRecoveryUnderFaults) {

@@ -325,12 +325,18 @@ TEST(SkewCountersTest, ReduceByKeyImbalancedPartitionsSplitCombine) {
   schema.key = ColumnTag::kInt64;
   schema.value = ColumnTag::kInt64;
 
-  Engine plain(SkewTestConfig(/*mitigate=*/false));
+  // Combine splitting exists only on the typed int64 path, which needs
+  // the columnar engine: pin it so the boxed-default build runs it too.
+  EngineConfig plain_config = SkewTestConfig(/*mitigate=*/false);
+  plain_config.columnar = true;
+  Engine plain(plain_config);
   std::string want = Bytes(
       plain,
       *plain.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema));
 
-  Engine salted(SkewTestConfig(/*mitigate=*/true));
+  EngineConfig salted_config = SkewTestConfig(/*mitigate=*/true);
+  salted_config.columnar = true;
+  Engine salted(salted_config);
   StatusOr<Dataset> got =
       salted.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema);
   ASSERT_TRUE(got.ok()) << got.status().ToString();

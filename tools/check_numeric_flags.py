@@ -2,8 +2,10 @@
 """Checks that diablo_run rejects out-of-range or malformed numeric flags.
 
 Each size or count flag must be an integer in its documented range:
---partitions, --workers, --tile-rows and --tile-cols at least 1, and
---broadcast-mb at least 0 and small enough that N MB fits in int64. A bad
+--partitions, --workers, --tile-rows, --tile-cols and --max-attempts at
+least 1, and --broadcast-mb at least 0 and small enough that N MB fits
+in int64. Each fault rate (--fail-rate, --straggler-rate, --corrupt-rate,
+--chaos-kill-rate) must be a finite probability in [0, 1]. A bad
 value must fail with exit code 1, one `diablo_run: <flag> ...` line on
 stderr and nothing on stdout. The same program with in-range values must
 still run.
@@ -35,6 +37,15 @@ BAD = [
     ("--tile-rows", ""),
     ("--tile-cols", "0"),
     ("--tile-cols", "1.5"),
+    ("--max-attempts", "0"),
+    ("--max-attempts", "-3"),
+    ("--fail-rate", "nan"),
+    ("--fail-rate", "-1"),
+    ("--fail-rate", "2"),
+    ("--fail-rate", "inf"),
+    ("--straggler-rate", "5"),
+    ("--corrupt-rate", "1.5"),
+    ("--chaos-kill-rate", "-0.5"),
 ]
 
 GOOD = [
@@ -44,6 +55,11 @@ GOOD = [
     ("--broadcast-mb", "16"),
     ("--tile-rows", "4"),
     ("--tile-cols", "4"),
+    ("--max-attempts", "1"),
+    ("--fail-rate", "0"),
+    ("--fail-rate", "0.1"),
+    ("--straggler-rate", "1"),
+    ("--corrupt-rate", "0.002"),
 ]
 
 

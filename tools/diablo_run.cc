@@ -49,9 +49,9 @@
 //   --fault-seed N           seed of the deterministic fault injector
 //   --fail-rate P            per-attempt task kill probability [0,1]
 //   --straggler-rate P       straggler probability [0,1]
-//   --corrupt-rate P         shuffle-payload corruption probability
+//   --corrupt-rate P         shuffle-payload corruption probability [0,1]
 //                            (needs --serialize-shuffles to take effect)
-//   --max-attempts N         retry budget per task (default 4)
+//   --max-attempts N         retry budget per task (default 4; N >= 1)
 //   --kill S:P               kill partition P of stage S once (repeatable)
 //   --lose S:P[:I]           lose input partition P of stage S (input I,
 //                            default 0); recomputed from lineage
@@ -257,6 +257,16 @@ double ParseDoubleFlag(const std::string& flag, const std::string& text) {
   return v;
 }
 
+/// ParseDoubleFlag restricted to a probability: NaN, infinities and
+/// values outside [0, 1] die instead of acting as 0 or 1 downstream.
+double ParseRateFlag(const std::string& flag, const std::string& text) {
+  double v = ParseDoubleFlag(flag, text);
+  if (!(v >= 0.0 && v <= 1.0)) {
+    Die(flag + " expects a probability in [0, 1], got '" + text + "'");
+  }
+  return v;
+}
+
 long long ParseIntFlag(const std::string& flag, const std::string& text) {
   char* end = nullptr;
   errno = 0;
@@ -381,14 +391,14 @@ int main(int argc, char** argv) {
       engine_config.faults.seed =
           static_cast<uint64_t>(ParseIntFlag(arg, next()));
     } else if (arg == "--fail-rate") {
-      engine_config.faults.task_failure_rate = ParseDoubleFlag(arg, next());
+      engine_config.faults.task_failure_rate = ParseRateFlag(arg, next());
     } else if (arg == "--straggler-rate") {
-      engine_config.faults.straggler_rate = ParseDoubleFlag(arg, next());
+      engine_config.faults.straggler_rate = ParseRateFlag(arg, next());
     } else if (arg == "--corrupt-rate") {
-      engine_config.faults.corrupt_shuffle_rate = ParseDoubleFlag(arg, next());
+      engine_config.faults.corrupt_shuffle_rate = ParseRateFlag(arg, next());
     } else if (arg == "--max-attempts") {
       engine_config.faults.max_task_attempts =
-          static_cast<int>(ParseIntFlag(arg, next()));
+          static_cast<int>(ParseIntFlagIn(arg, next(), 1, INT_MAX));
     } else if (arg == "--kill") {
       std::vector<int> sp = SplitColonInts(next(), 2, 2);
       engine_config.faults.kill_tasks.push_back({sp[0], sp[1]});
@@ -430,7 +440,7 @@ int main(int argc, char** argv) {
       dist_config.chaos.kills.push_back(
           {sw[0], sw[1], sw.size() > 2 ? sw[2] : 0});
     } else if (arg == "--chaos-kill-rate") {
-      dist_config.chaos.kill_rate = ParseDoubleFlag(arg, next());
+      dist_config.chaos.kill_rate = ParseRateFlag(arg, next());
     } else if (arg == "--chaos-seed") {
       dist_config.chaos.seed =
           static_cast<uint64_t>(ParseIntFlag(arg, next()));
