@@ -14,7 +14,9 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,32 +43,6 @@ double SteadyNowUs() {
       .count();
 }
 
-/// One forked worker, as the coordinator sees it. Survives its own
-/// death bookkeeping: a dead worker keeps its id (chaos coordinates and
-/// logs stay stable) and, when respawned, its cumulative per-wave
-/// result count.
-struct WorkerState {
-  pid_t pid = -1;
-  int fd = -1;
-  bool connected = false;
-  bool alive = false;
-  FrameReader reader;
-  Clock::time_point last_heard;
-  int in_flight = -1;
-  Clock::time_point dispatched_at;
-  std::deque<int> queue;
-  /// Worker steady clock minus coordinator steady clock (µs), measured
-  /// when the Hello arrived; rebases telemetry span times.
-  double clock_offset_us = 0;
-  /// Results installed from this worker id during the current wave,
-  /// cumulative across respawns — the chaos-kill trigger coordinate.
-  int results_in_wave = 0;
-  /// Highest result count already tested against the chaos schedule,
-  /// so a respawned worker never re-draws an already-survived
-  /// coordinate (that would re-kill it forever under a kill rate).
-  int chaos_checked_through = -1;
-};
-
 struct TaskState {
   bool done = false;
   /// Next simulated attempt number (coordinator-side mirror of the
@@ -92,6 +68,75 @@ struct PendingConn {
 
 }  // namespace
 
+
+/// One worker id, as the coordinator sees it. Lives as long as the
+/// coordinator: a dead worker keeps its id (chaos coordinates and logs
+/// stay stable) and is re-forked into the same slot.
+struct Coordinator::WorkerState {
+  pid_t pid = -1;
+  int fd = -1;
+  bool connected = false;
+  bool alive = false;
+  /// Forked at the start of a scoped wave, so it outlives the wave as a
+  /// replica. False for out-of-scope workers and mid-wave respawns,
+  /// which exit when their wave ends.
+  bool replica = false;
+  /// Session token of the current fork; its Hello must echo it.
+  uint64_t token = 0;
+  FrameReader reader;
+  Clock::time_point last_heard;
+  int in_flight = -1;
+  Clock::time_point dispatched_at;
+  std::deque<int> queue;
+  /// Accepted results of other workers still to be relayed to this
+  /// replica. They go out only while it has no task in flight, when it
+  /// is sure to be reading: a replica blocked sending its own large
+  /// result never faces a coordinator blocked sending to it.
+  std::vector<std::shared_ptr<const Frame>> relays;
+  /// Worker steady clock minus coordinator steady clock (µs), measured
+  /// when the Hello arrived; rebases telemetry span times.
+  double clock_offset_us = 0;
+  /// Results installed from this worker id during the current wave,
+  /// cumulative across respawns — the chaos-kill trigger coordinate.
+  int results_in_wave = 0;
+  /// Highest result count already tested against the chaos schedule,
+  /// so a respawned worker never re-draws an already-survived
+  /// coordinate (that would re-kill it forever under a kill rate).
+  int chaos_checked_through = -1;
+
+  /// Polite shutdown, then SIGKILL; the pid goes to `to_reap`. No-op
+  /// on a slot that holds no process.
+  void Retire(std::vector<pid_t>* to_reap) {
+    if (alive && connected) {
+      SendFrame(fd, FrameType::kShutdown, std::string());
+    }
+    CloseFd(fd);
+    fd = -1;
+    if (pid > 0) {
+      kill(pid, SIGKILL);
+      to_reap->push_back(pid);
+      pid = -1;
+    }
+    alive = false;
+    connected = false;
+    in_flight = -1;
+    queue.clear();
+    relays.clear();
+  }
+};
+
+namespace {
+
+void ReapAll(const std::vector<pid_t>& pids) {
+  for (pid_t pid : pids) {
+    int wstatus = 0;
+    while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+    }
+  }
+}
+
+}  // namespace
+
 Coordinator::Coordinator(DistConfig config)
     : config_(std::move(config)), chaos_(config_.chaos) {
   config_.num_workers = std::max(config_.num_workers, 1);
@@ -100,19 +145,48 @@ Coordinator::Coordinator(DistConfig config)
   config_.task_deadline_ms = std::max(config_.task_deadline_ms, 50);
   config_.max_task_retries = std::max(config_.max_task_retries, 0);
   config_.max_respawns = std::max(config_.max_respawns, 0);
+  workers_.resize(static_cast<size_t>(config_.num_workers));
+}
+
+Coordinator::~Coordinator() {
+  EndScope();
+  CloseFd(listen_fd_);
+}
+
+void Coordinator::EndScope() {
+  std::vector<pid_t> to_reap;
+  for (WorkerState& ws : workers_) ws.Retire(&to_reap);
+  ReapAll(to_reap);
+  scope_ = 0;
 }
 
 Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
                             runtime::RemoteWaveStats* stats) {
   const int num_tasks = static_cast<int>(wave.task_work.size());
   if (num_tasks == 0) return Status::OK();
+  if (replica_ != nullptr) {
+    // This process is a replica: meet the coordinator at the wave this
+    // copy of the driver reached.
+    replica_->AwaitWave(wave);
+    replica_->ServeWave(wave);
+    return Status::OK();
+  }
   const int num_workers = config_.num_workers;
-  const uint64_t token = next_token_++;
+  // Replicas hold one scope's state; a wave of another scope (or of
+  // none) retires them first.
+  if (wave.scope != scope_) EndScope();
+  const bool scoped = wave.scope != 0;
+  if (scoped && scope_ == 0) {
+    scope_ = wave.scope;
+    wave.at_scope_end([this, scope = wave.scope] {
+      if (scope_ == scope) EndScope();
+    });
+  }
+  if (listen_fd_ < 0) {
+    DIABLO_ASSIGN_OR_RETURN(listen_fd_, ListenLoopback(&port_));
+  }
 
-  uint16_t port = 0;
-  DIABLO_ASSIGN_OR_RETURN(int listen_fd, ListenLoopback(&port));
-
-  std::vector<WorkerState> workers(num_workers);
+  std::vector<WorkerState>& workers = workers_;
   std::vector<TaskState> tasks(num_tasks);
   std::vector<PendingConn> pending;
   std::vector<pid_t> to_reap;
@@ -129,39 +203,96 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
   // runs without --events-out stay byte-identical.
   runtime::EventLog* events = config_.events;
 
-  // Forks one child for worker slot `w`. The child sheds every fd it
-  // inherited from the coordinator (listener + peers), then serves the
-  // wave closures it got for free via copy-on-write. _exit only: the
-  // child must not run the coordinator's atexit/leak machinery.
-  auto spawn = [&](int w) -> Status {
+  Status wave_error;  // first backend-level (non-task) failure
+
+  auto fail_wave = [&](Status st) {
+    if (wave_error.ok()) wave_error = std::move(st);
+  };
+
+  auto params_for = [&](int w) {
     WorkerParams params;
     params.worker_id = w;
-    params.port = port;
-    params.token = token;
+    params.port = port_;
+    params.token = workers[w].token;
     params.heartbeat_ms = config_.heartbeat_ms;
     params.connect_attempts = config_.connect_attempts;
     params.connect_backoff_ms = config_.connect_backoff_ms;
-    params.telemetry = wave.want_telemetry;
     if (w == config_.stall_worker) params.stall_ms = config_.stall_ms;
+    return params;
+  };
+
+  // Forks worker id `w` from this process's current state. Returns 0 in
+  // the child, which has already shed every fd it inherited from the
+  // coordinator (listener, every worker socket, pending connections).
+  auto fork_worker = [&](int w, bool replica) -> StatusOr<pid_t> {
+    WorkerState& ws = workers[w];
+    ws.token = next_token_++;
     pid_t pid = fork();
     if (pid < 0) {
       return Status::DistError(StrCat("fork: ", std::strerror(errno)));
     }
     if (pid == 0) {
-      CloseFd(listen_fd);
+      CloseFd(listen_fd_);
       for (const WorkerState& other : workers) CloseFd(other.fd);
       for (const PendingConn& conn : pending) CloseFd(conn.fd);
-      WorkerMain(params, wave);  // never returns
+      return pid;
     }
-    WorkerState& ws = workers[w];
+    ++forks_;
     ws.pid = pid;
     ws.fd = -1;
     ws.connected = false;
     ws.alive = true;
+    ws.replica = replica;
     ws.reader = FrameReader();
     ws.last_heard = Clock::now();
-    return Status::OK();
+    ws.relays.clear();
+    return pid;
   };
+
+  // Wave start. A replica carried over from the previous wave gets the
+  // header of this one; one that exited meanwhile, or whose socket is
+  // gone, is retired. Every worker id left without a process is forked
+  // from the current state: as a replica inside a scope, as a worker of
+  // this wave alone outside one.
+  const std::string header = EncodeWavePayload(wave);
+  for (int w = 0; w < num_workers; ++w) {
+    WorkerState& ws = workers[w];
+    if (!ws.alive) continue;
+    int wstatus = 0;
+    if (waitpid(ws.pid, &wstatus, WNOHANG) == ws.pid) {
+      ws.pid = -1;  // already reaped
+      log(StrCat("replica ", w, " exited between waves; re-forking"));
+      ws.Retire(&to_reap);
+    } else if (!SendFrame(ws.fd, FrameType::kWave, header).ok()) {
+      log(StrCat("replica ", w, " unreachable; re-forking"));
+      ws.Retire(&to_reap);
+    }
+  }
+  for (int w = 0; w < num_workers && wave_error.ok(); ++w) {
+    if (workers[w].alive) continue;
+    StatusOr<pid_t> pid = fork_worker(w, scoped);
+    if (!pid.ok()) {
+      fail_wave(pid.status());
+    } else if (*pid == 0) {
+      const WorkerParams params = params_for(w);
+      if (!scoped) WorkerMain(params, wave);  // never returns
+      // A replica: this process now leaves the driver code only at the
+      // end of the scope.
+      wave.at_scope_end([] { _exit(0); });
+      replica_ = WorkerLink::Connect(params);
+      replica_->ServeWave(wave);
+      return Status::OK();
+    }
+  }
+  // Liveness clocks restart: nobody read the sockets between waves.
+  const Clock::time_point wave_start = Clock::now();
+  for (WorkerState& ws : workers) {
+    ws.last_heard = wave_start;
+    ws.in_flight = -1;
+    ws.queue.clear();
+    ws.results_in_wave = 0;
+    ws.chaos_checked_through = -1;
+  }
 
   // Static round-robin assignment fixes which worker owns which task
   // before any socket timing can interfere — the foundation of chaos
@@ -169,12 +300,6 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
   for (int p = 0; p < num_tasks; ++p) {
     workers[p % num_workers].queue.push_back(p);
   }
-
-  Status wave_error;  // first backend-level (non-task) failure
-
-  auto fail_wave = [&](Status st) {
-    if (wave_error.ok()) wave_error = std::move(st);
-  };
 
   auto record_task_failure = [&](int p, Status st) {
     TaskState& task = tasks[p];
@@ -189,7 +314,7 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
   std::function<void(int, const char*)> declare_dead;
 
   // SIGKILLs `w` per the chaos schedule if its current result count has
-  // an unconsumed kill scheduled. Checked when a worker connects
+  // an unconsumed kill scheduled. Checked when a worker starts the wave
   // (count 0: kill before any result) and after every installed result.
   auto maybe_chaos_kill = [&](int w) {
     WorkerState& ws = workers[w];
@@ -215,12 +340,28 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     declare_dead(w, "chaos kill");
   };
 
+  // Sends `w` the results queued for it, if it is idle (see
+  // WorkerState::relays).
+  auto flush_relays = [&](int w) {
+    WorkerState& ws = workers[w];
+    if (!ws.alive || !ws.connected || ws.in_flight >= 0) return;
+    std::vector<std::shared_ptr<const Frame>> batch;
+    batch.swap(ws.relays);
+    for (const auto& frame : batch) {
+      if (!RelayFrame(ws.fd, *frame).ok()) {
+        declare_dead(w, "send failed");
+        return;
+      }
+    }
+  };
+
   // Hands the next dispatchable task to `w`, running the simulated
   // fault loop (begin_attempt / sim_kill / charge_failure) exactly as
   // the local scheduler would, so distributed runs charge the same
   // simulated attempts, backoff, and straggler time.
   auto dispatch_next = [&](int w) {
     WorkerState& ws = workers[w];
+    flush_relays(w);
     while (ws.alive && ws.connected && ws.in_flight < 0 &&
            !ws.queue.empty() && wave_error.ok()) {
       int p = ws.queue.front();
@@ -273,6 +414,7 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     ws.connected = false;
     CloseFd(ws.fd);
     ws.fd = -1;
+    ws.relays.clear();
     if (ws.pid > 0) {
       kill(ws.pid, SIGKILL);
       to_reap.push_back(ws.pid);
@@ -328,7 +470,9 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     wave.on_worker_lost(w, owed, reason);
 
     // Degrade onto survivors, round-robin in id order; respawn is the
-    // last resort when nobody survived.
+    // last resort when nobody survived. A respawned worker serves this
+    // wave only: it is forked mid-wave, so it could not follow the
+    // scope; the next wave re-forks the id as a replica.
     std::vector<int> survivors;
     for (int i = 0; i < num_workers; ++i) {
       if (workers[i].alive) survivors.push_back(i);
@@ -353,11 +497,12 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
           e.ints.emplace_back("respawns_used", respawns_used_);
           events->Emit(std::move(e));
         }
-        Status st = spawn(w);
-        if (!st.ok()) {
-          fail_wave(std::move(st));
+        StatusOr<pid_t> pid = fork_worker(w, /*replica=*/false);
+        if (!pid.ok()) {
+          fail_wave(pid.status());
           return;
         }
+        if (*pid == 0) WorkerMain(params_for(w), wave);  // never returns
         for (int p : owed) workers[w].queue.push_back(p);
       }
       return;
@@ -370,14 +515,14 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     for (int s : survivors) dispatch_next(s);
   };
 
-  auto handle_result = [&](int w, const std::string& payload) {
+  auto handle_result = [&](int w, Frame& frame) {
     WorkerState& ws = workers[w];
     int p = 0;
     int attempt = 0;
     Status task_status;
-    std::string slots;
-    Status decoded =
-        DecodeTaskResultPayload(payload, &p, &attempt, &task_status, &slots);
+    std::string_view slots;
+    Status decoded = DecodeTaskResultPayload(frame.payload, &p, &attempt,
+                                             &task_status, &slots);
     if (!decoded.ok() || p < 0 || p >= num_tasks) {
       declare_dead(w, "corrupt task result");
       return;
@@ -405,6 +550,18 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       ++tasks_done;
       stats->result_bytes += static_cast<int64_t>(slots.size());
       ++ws.results_in_wave;
+      // Every other replica installs the same bytes: queue the frame as
+      // it arrived (`slots` points into it and is not used past here).
+      std::shared_ptr<const Frame> relay;
+      for (int v = 0; v < num_workers; ++v) {
+        WorkerState& other = workers[v];
+        if (v == w || !other.alive || !other.replica) continue;
+        if (relay == nullptr) {
+          relay = std::make_shared<const Frame>(std::move(frame));
+        }
+        other.relays.push_back(relay);
+        flush_relays(v);
+      }
       wave.on_complete(p, attempt, w);
       maybe_chaos_kill(w);
     } else if (task_status.code() == StatusCode::kTaskLost) {
@@ -413,6 +570,8 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       wave.charge_failure(p, attempt);
       ws.queue.push_front(p);
     } else {
+      // A genuine task error fails the wave, and a failed wave retires
+      // every worker: the next wave, if any, re-forks them.
       record_task_failure(p, std::move(task_status));
     }
     if (workers[w].alive) dispatch_next(w);
@@ -455,7 +614,7 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
           break;
         }
         case FrameType::kTaskResult:
-          handle_result(w, frame.payload);
+          handle_result(w, frame);
           if (!workers[w].alive) return;  // reader is gone
           break;
         default:
@@ -491,7 +650,8 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
         !DecodeHelloPayload(frame.payload, &worker_id, &pid, &hello_token,
                             &worker_steady_us)
              .ok() ||
-        hello_token != token || worker_id < 0 || worker_id >= num_workers ||
+        worker_id < 0 || worker_id >= num_workers ||
+        hello_token != workers[worker_id].token ||
         !workers[worker_id].alive || workers[worker_id].connected) {
       CloseFd(conn.fd);
       return false;
@@ -517,10 +677,22 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     return false;  // fd ownership moved to the worker slot
   };
 
+  // Replicas already connected start right away: chaos count 0 first,
+  // then their share of the tasks. Fresh forks start on their Hello.
   for (int w = 0; w < num_workers && wave_error.ok(); ++w) {
-    Status st = spawn(w);
-    if (!st.ok()) fail_wave(std::move(st));
+    if (!workers[w].alive || !workers[w].connected) continue;
+    maybe_chaos_kill(w);
+    if (workers[w].alive) dispatch_next(w);
   }
+
+  // A fresh replica must connect before the wave may end, even when it
+  // got no task: it still has to install every result.
+  auto awaiting_replica = [&] {
+    for (const WorkerState& ws : workers) {
+      if (ws.alive && ws.replica && !ws.connected) return true;
+    }
+    return false;
+  };
 
   // Backstop so no chaos schedule, however hostile, can hang the wave:
   // generous enough for every task to burn its full deadline budget.
@@ -528,9 +700,8 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       static_cast<int64_t>(config_.task_deadline_ms) *
           (num_tasks + config_.max_task_retries + config_.max_respawns + 2) +
       static_cast<int64_t>(config_.heartbeat_ms) * config_.missed_beats * 4;
-  const Clock::time_point wave_start = Clock::now();
 
-  while (wave_error.ok() && tasks_done < num_tasks) {
+  while (wave_error.ok() && (tasks_done < num_tasks || awaiting_replica())) {
     // Liveness sweeps: child exits, heartbeat silence, task deadlines.
     const Clock::time_point now = Clock::now();
     for (int w = 0; w < num_workers && wave_error.ok(); ++w) {
@@ -566,7 +737,7 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
 
     std::vector<pollfd> fds;
     std::vector<int> fd_owner;  // -1 = listener, -2-i = pending i, else worker
-    fds.push_back({listen_fd, POLLIN, 0});
+    fds.push_back({listen_fd_, POLLIN, 0});
     fd_owner.push_back(-1);
     for (size_t i = 0; i < pending.size(); ++i) {
       fds.push_back({pending[i].fd, POLLIN, 0});
@@ -592,8 +763,14 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       int owner = fd_owner[i];
       if (owner == -1) {
-        int conn_fd = accept(listen_fd, nullptr, nullptr);
-        if (conn_fd >= 0) pending.push_back(PendingConn{conn_fd, FrameReader()});
+        int conn_fd = accept(listen_fd_, nullptr, nullptr);
+        if (conn_fd >= 0) {
+          // A worker that stops reading must cost a deadline, not a
+          // coordinator blocked in send forever.
+          SetSendTimeout(conn_fd, config_.task_deadline_ms);
+          SetNoDelay(conn_fd);
+          pending.push_back(PendingConn{conn_fd, FrameReader()});
+        }
       } else if (owner <= -2) {
         size_t idx = static_cast<size_t>(-owner - 2);
         if (!drain_pending(idx)) consumed_pending.push_back(idx);
@@ -609,35 +786,32 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     }
   }
 
-  // Teardown: polite shutdown, then SIGKILL, then reap every child so
-  // no zombie outlives the wave.
-  for (WorkerState& ws : workers) {
-    if (ws.alive && ws.connected) {
-      SendFrame(ws.fd, FrameType::kShutdown, std::string());
-    }
-    CloseFd(ws.fd);
-    ws.fd = -1;
-    if (ws.pid > 0) {
-      kill(ws.pid, SIGKILL);
-      to_reap.push_back(ws.pid);
-      ws.pid = -1;
-    }
-  }
-  for (const PendingConn& conn : pending) CloseFd(conn.fd);
-  CloseFd(listen_fd);
-  for (pid_t pid : to_reap) {
-    int wstatus = 0;
-    while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-  }
-
-  if (!wave_error.ok()) return wave_error;
   // Lowest-index genuine failure wins, matching the local scheduler's
   // in-order sweep.
-  for (int p = 0; p < num_tasks; ++p) {
-    if (tasks[p].failed) return tasks[p].failure;
+  Status result = wave_error;
+  for (int p = 0; p < num_tasks && result.ok(); ++p) {
+    if (tasks[p].failed) result = tasks[p].failure;
   }
-  return Status::OK();
+
+  // Wave end. After a clean wave each replica gets the results still
+  // queued for it and kWaveEnd, and returns to its driver; every other
+  // worker (out of scope, respawned mid-wave, or after any failure) is
+  // shut down, then SIGKILLed, and every child that went is reaped.
+  for (int w = 0; w < num_workers; ++w) {
+    WorkerState& ws = workers[w];
+    if (result.ok() && ws.alive && ws.replica && ws.connected &&
+        ws.in_flight < 0) {
+      flush_relays(w);
+      if (ws.alive && ws.relays.empty() &&
+          SendFrame(ws.fd, FrameType::kWaveEnd, std::string()).ok()) {
+        continue;
+      }
+    }
+    ws.Retire(&to_reap);
+  }
+  for (const PendingConn& conn : pending) CloseFd(conn.fd);
+  ReapAll(to_reap);
+  return result;
 }
 
 }  // namespace diablo::dist

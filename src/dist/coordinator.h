@@ -2,6 +2,8 @@
 #define DIABLO_DIST_COORDINATOR_H_
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/status.h"
 #include "dist/chaos.h"
@@ -15,7 +17,9 @@ namespace diablo::dist {
 
 /// Knobs of the multi-process distributed backend.
 struct DistConfig {
-  /// Worker processes forked per task wave.
+  /// Worker processes: forked once per scope (one program run) and kept
+  /// as replicas across its waves; a wave outside any scope forks its
+  /// own set.
   int num_workers = 2;
   /// Worker heartbeat period.
   int heartbeat_ms = 250;
@@ -31,9 +35,10 @@ struct DistConfig {
   /// simulated retry budget (FaultConfig::max_task_attempts) — a real
   /// re-dispatch re-runs the SAME simulated attempt.
   int max_task_retries = 3;
-  /// How many dead workers may be re-forked per job. Respawn is the
-  /// last resort, used only when a wave has no surviving worker;
-  /// otherwise dead workers' tasks degrade onto survivors.
+  /// How many dead workers may be re-forked mid-wave per job. Respawn
+  /// is the last resort, used only when a wave has no surviving worker;
+  /// otherwise dead workers' tasks degrade onto survivors. (Re-forking a
+  /// lost replica at the next wave's start is not a respawn.)
   int max_respawns = 4;
   /// Worker-side reconnect backoff (doubles per attempt).
   int connect_backoff_ms = 10;
@@ -51,15 +56,32 @@ struct DistConfig {
   runtime::EventLog* events = nullptr;
 };
 
-/// Multi-process wave executor: forks `num_workers` children per wave
-/// (copy-on-write gives them the wave closures for free), serves them
-/// tasks over loopback TCP with CRC-framed messages, and survives
-/// worker death via heartbeats, deadlines, task re-dispatch, and
-/// bounded respawn. Plugged into the engine via
+class WorkerLink;
+
+/// Multi-process wave executor. Serves task waves to `num_workers`
+/// worker processes over loopback TCP with CRC-framed messages, and
+/// survives worker death via heartbeats, deadlines, task re-dispatch,
+/// and bounded respawn. Plugged into the engine via
 /// EngineConfig::remote.
+///
+/// Workers are replicas of the driver. At the first wave of an
+/// Engine::RemoteScope the coordinator forks them from its own state
+/// (copy-on-write gives them every closure for free); each then returns
+/// into the same driver code and meets the coordinator at every later
+/// wave of the scope, where it runs the tasks assigned to it and
+/// installs the relayed results of all others, so it stays in the
+/// coordinator's state without a plan ever being serialized. A worker
+/// that is lost, diverges or hits a genuine task error is retired and
+/// re-forked from the coordinator's current state at the next wave. A
+/// wave outside any scope forks a set that exits when the wave ends.
 class Coordinator : public runtime::RemoteExecutor {
  public:
   explicit Coordinator(DistConfig config);
+  /// Retires any live replicas and reaps them.
+  ~Coordinator() override;
+
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
 
   Status RunWave(const runtime::RemoteTaskWave& wave,
                  runtime::RemoteWaveStats* stats) override;
@@ -69,13 +91,31 @@ class Coordinator : public runtime::RemoteExecutor {
   int chaos_kills() const { return chaos_kills_; }
   /// Respawn budget consumed so far (all waves).
   int respawns_used() const { return respawns_used_; }
+  /// Worker processes forked so far: scope starts, re-forks of lost
+  /// replicas, out-of-scope waves and respawns alike.
+  int forks() const { return forks_; }
 
  private:
+  struct WorkerState;
+
+  /// Retires every live worker (shutdown, SIGKILL, reap) and leaves the
+  /// current scope.
+  void EndScope();
+
   DistConfig config_;
   ChaosSchedule chaos_;
   uint64_t next_token_ = 1;
   int respawns_used_ = 0;
   int chaos_kills_ = 0;
+  int forks_ = 0;
+  /// Loopback listener the workers connect to; opened at the first wave.
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  /// Scope whose replicas `workers_` holds (0 = none).
+  uint64_t scope_ = 0;
+  std::vector<WorkerState> workers_;
+  /// Set only inside a forked replica: its link to the coordinator.
+  std::unique_ptr<WorkerLink> replica_;
 };
 
 }  // namespace diablo::dist

@@ -6,6 +6,8 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,13 +30,6 @@ sockaddr_in LoopbackAddr(uint16_t port) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   return addr;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  // Best effort: heartbeats and small control frames must not sit in
-  // Nagle buffers behind a large task-result write.
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace
@@ -91,22 +86,56 @@ StatusOr<int> ConnectWithBackoff(uint16_t port, int attempts,
   return last;
 }
 
-Status SendFrame(int fd, FrameType type, const std::string& payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  EncodeFrame(type, payload, &frame);
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    ssize_t n =
-        send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+namespace {
+
+/// Writes `header` then `payload` with one gathering sendmsg per
+/// attempt, so the payload is never copied behind its header. Short
+/// writes resume where they stopped.
+Status SendHeaderAndPayload(int fd, const std::string& header,
+                            std::string_view payload) {
+  iovec parts[2] = {
+      {const_cast<char*>(header.data()), header.size()},
+      {const_cast<char*>(payload.data()), payload.size()},
+  };
+  size_t first = 0;
+  size_t left = header.size() + payload.size();
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = parts + first;
+    msg.msg_iovlen = 2 - first;
+    ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Errno("send");
     }
     if (n == 0) return Status::DistError("send: peer closed connection");
-    sent += static_cast<size_t>(n);
+    left -= static_cast<size_t>(n);
+    for (size_t sent = static_cast<size_t>(n); first < 2;) {
+      const size_t step = std::min(sent, parts[first].iov_len);
+      parts[first].iov_base = static_cast<char*>(parts[first].iov_base) + step;
+      parts[first].iov_len -= step;
+      sent -= step;
+      if (parts[first].iov_len > 0) break;
+      ++first;
+    }
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status SendFrame(int fd, FrameType type, const std::string& payload) {
+  std::string header;
+  EncodeFrameHeader(type, static_cast<uint32_t>(payload.size()),
+                    FrameCrc(type, payload), &header);
+  return SendHeaderAndPayload(fd, header, payload);
+}
+
+Status RelayFrame(int fd, const Frame& frame) {
+  std::string header;
+  EncodeFrameHeader(frame.type, static_cast<uint32_t>(frame.payload.size()),
+                    frame.crc, &header);
+  return SendHeaderAndPayload(fd, header, frame.payload);
 }
 
 StatusOr<Frame> RecvFrameBlocking(int fd, FrameReader* reader) {
@@ -123,6 +152,18 @@ StatusOr<Frame> RecvFrameBlocking(int fd, FrameReader* reader) {
     if (n == 0) return Status::DistError("recv: peer closed connection");
     reader->Feed(buf, static_cast<size_t>(n));
   }
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+void SetSendTimeout(int fd, int ms) {
+  timeval tv{};
+  tv.tv_sec = ms / 1000;
+  tv.tv_usec = (ms % 1000) * 1000;
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 void CloseFd(int fd) {

@@ -28,10 +28,23 @@ StatusOr<int> ConnectWithBackoff(uint16_t port, int attempts,
 /// peer must never SIGPIPE the coordinator).
 Status SendFrame(int fd, FrameType type, const std::string& payload);
 
+/// Writes `frame` as it was received — same type, payload and checksum,
+/// so relaying it costs no re-encode and no CRC pass.
+Status RelayFrame(int fd, const Frame& frame);
+
 /// Blocks until one full frame arrives on `fd` via `reader`, which
 /// carries stream state across calls. EOF and corrupt framing are
 /// errors.
 StatusOr<Frame> RecvFrameBlocking(int fd, FrameReader* reader);
+
+/// Disables Nagle on `fd`. Best effort: heartbeats and small control
+/// frames (a wave header followed by a task) must not wait in Nagle
+/// buffers for the peer's delayed ACK.
+void SetNoDelay(int fd);
+
+/// Makes a blocking send on `fd` give up (EAGAIN) after `ms`
+/// milliseconds without progress. Best effort.
+void SetSendTimeout(int fd, int ms);
 
 /// close() if `fd` >= 0; ignores errors.
 void CloseFd(int fd);

@@ -12,16 +12,32 @@ namespace {
 using runtime::GetWireU32;
 using runtime::PutWireU32;
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slice-by-8 tables: kCrc[0] is the classic byte-at-a-time table and
+/// kCrc[k][i] is the CRC of byte i followed by k zero bytes, so eight
+/// lookups fold eight input bytes per step.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 Status CorruptFrame(const std::string& what) {
@@ -39,21 +55,31 @@ bool IsKnownFrameType(uint8_t type) {
     case FrameType::kTaskResult:
     case FrameType::kShutdown:
     case FrameType::kTelemetry:
+    case FrameType::kWave:
+    case FrameType::kWaveEnd:
       return true;
   }
   return false;
 }
 
-uint32_t Crc32(const std::string& data) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+uint32_t Crc32(std::string_view data) {
+  static const CrcTables kCrc = MakeCrcTables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : data) {
-    crc = kTable[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+          kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+          kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+          kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kCrc[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
-
-namespace {
 
 /// Frame checksum: the CRC covers the type byte as well as the payload,
 /// so a corrupted type cannot silently turn one valid frame kind into
@@ -62,27 +88,31 @@ namespace {
 /// corrupt length either overflows the cap or shifts the payload bytes
 /// under this CRC). Folding the byte into the running CRC avoids
 /// copying the payload just to prefix one byte.
-uint32_t FrameCrc(uint8_t type, const std::string& payload) {
+uint32_t FrameCrc(FrameType type, std::string_view payload) {
   uint32_t crc = Crc32(payload) ^ 0xFFFFFFFFu;  // undo final xor
   // Process the type byte as if it preceded the payload: CRC32 is not
   // order-sensitive in a way we can exploit cheaply, so fold it at the
   // end instead; mixing position keeps (type, payload) pairs distinct.
-  crc = crc ^ type;
+  crc = crc ^ static_cast<uint8_t>(type);
   for (int bit = 0; bit < 8; ++bit) {
     crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
-}  // namespace
-
-void EncodeFrame(FrameType type, const std::string& payload,
-                 std::string* out) {
+void EncodeFrameHeader(FrameType type, uint32_t payload_len, uint32_t crc,
+                       std::string* out) {
   PutWireU32(kFrameMagic, out);
   out->push_back(static_cast<char>(type));
   out->append(3, '\0');
-  PutWireU32(static_cast<uint32_t>(payload.size()), out);
-  PutWireU32(FrameCrc(static_cast<uint8_t>(type), payload), out);
+  PutWireU32(payload_len, out);
+  PutWireU32(crc, out);
+}
+
+void EncodeFrame(FrameType type, const std::string& payload,
+                 std::string* out) {
+  EncodeFrameHeader(type, static_cast<uint32_t>(payload.size()),
+                    FrameCrc(type, payload), out);
   out->append(payload);
 }
 
@@ -131,14 +161,15 @@ StatusOr<bool> FrameReader::Next(Frame* frame) {
   uint32_t crc = GetWireU32(buffer_, &offset).value();
   if (avail < kFrameHeaderBytes + len) return false;  // need more bytes
 
-  std::string payload = buffer_.substr(offset, len);
-  if (FrameCrc(type, payload) != crc) {
+  const std::string_view payload(buffer_.data() + offset, len);
+  if (FrameCrc(static_cast<FrameType>(type), payload) != crc) {
     error_ = CorruptFrame("CRC mismatch");
     return error_;
   }
   consumed_ = offset + len;
   frame->type = static_cast<FrameType>(type);
-  frame->payload = std::move(payload);
+  frame->payload.assign(payload);
+  frame->crc = crc;
   return true;
 }
 

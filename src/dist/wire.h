@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -44,6 +45,13 @@ enum class FrameType : uint8_t {
   /// sent immediately before the matching kTaskResult when the
   /// coordinator requested telemetry in the task frame.
   kTelemetry = 7,
+  /// Coordinator -> replica: header of the next wave of the scope
+  /// (scope, sequence number, stage, task count, label); the replica
+  /// checks it against the wave its own driver reached.
+  kWave = 8,
+  /// Coordinator -> replica: the wave is over and every accepted result
+  /// has been relayed; return to the driver.
+  kWaveEnd = 9,
 };
 
 /// True for the frame types above; anything else on the wire is corrupt.
@@ -60,9 +68,10 @@ inline constexpr uint32_t kFrameMagic = 0x44424C46u;
 /// machine away.
 inline constexpr uint32_t kDefaultMaxFrameBytes = 256u * 1024u * 1024u;
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `data`.
+/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `data`,
+/// eight bytes per table step (slice-by-8).
 /// Known answer: Crc32("123456789") == 0xCBF43926.
-uint32_t Crc32(const std::string& data);
+uint32_t Crc32(std::string_view data);
 
 /// Appends the frame for (type, payload) to `out`.
 void EncodeFrame(FrameType type, const std::string& payload,
@@ -71,7 +80,18 @@ void EncodeFrame(FrameType type, const std::string& payload,
 struct Frame {
   FrameType type = FrameType::kHeartbeat;
   std::string payload;
+  /// The header's checksum as received (FrameReader) — lets the
+  /// coordinator relay a frame verbatim without recomputing it.
+  uint32_t crc = 0;
 };
+
+/// Appends the 16-byte header of a frame with the given type, payload
+/// length and checksum to `out`.
+void EncodeFrameHeader(FrameType type, uint32_t payload_len, uint32_t crc,
+                       std::string* out);
+
+/// The checksum EncodeFrame writes for (type, payload).
+uint32_t FrameCrc(FrameType type, std::string_view payload);
 
 /// Incremental frame parser over a byte stream. Feed whatever recv()
 /// produced; poll Next() for completed frames. Any malformed input puts

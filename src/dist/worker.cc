@@ -65,11 +65,13 @@ double DoubleFromBits(uint64_t bits) {
   return v;
 }
 
+}  // namespace
+
 /// Heartbeats share the task-result socket, so every send goes through
 /// one mutex; interleaving a heartbeat inside a half-written result
 /// frame would corrupt the stream.
-struct LockedSender {
-  int fd;
+struct WorkerLink::Sender {
+  int fd = -1;
   std::mutex mu;
 
   Status Send(FrameType type, const std::string& payload) {
@@ -77,8 +79,6 @@ struct LockedSender {
     return SendFrame(fd, type, payload);
   }
 };
-
-}  // namespace
 
 std::string EncodeHelloPayload(int worker_id, int64_t pid, uint64_t token,
                                double steady_now_us) {
@@ -141,7 +141,7 @@ std::string EncodeTaskResultPayload(int p, int attempt, const Status& status,
 
 Status DecodeTaskResultPayload(const std::string& payload, int* p,
                                int* attempt, Status* task_status,
-                               std::string* slots) {
+                               std::string_view* slots) {
   size_t offset = 0;
   DIABLO_ASSIGN_OR_RETURN(uint32_t task, GetWireU32(payload, &offset));
   DIABLO_ASSIGN_OR_RETURN(uint32_t att, GetWireU32(payload, &offset));
@@ -155,7 +155,7 @@ Status DecodeTaskResultPayload(const std::string& payload, int* p,
   *p = static_cast<int>(task);
   *attempt = static_cast<int>(att);
   *task_status = RebuildStatus(code, std::move(msg));
-  *slots = payload.substr(offset);
+  *slots = std::string_view(payload).substr(offset);
   return Status::OK();
 }
 
@@ -216,89 +216,158 @@ Status DecodeTelemetryPayload(const std::string& payload,
   return Status::OK();
 }
 
-void WorkerMain(const WorkerParams& params,
-                const runtime::RemoteTaskWave& wave) {
+std::string EncodeWavePayload(const runtime::RemoteTaskWave& wave) {
+  std::string out;
+  PutWireU64(wave.scope, &out);
+  PutWireU64(static_cast<uint64_t>(wave.seq), &out);
+  PutWireU32(static_cast<uint32_t>(wave.stage), &out);
+  PutWireU32(static_cast<uint32_t>(wave.task_work.size()), &out);
+  out.append(wave.label);
+  return out;
+}
+
+WorkerLink::WorkerLink(std::unique_ptr<Sender> sender, int stall_ms)
+    : sender_(std::move(sender)), stall_ms_(stall_ms) {}
+
+// Never runs in practice (workers leave through _exit); defined here
+// because Sender is incomplete in the header.
+WorkerLink::~WorkerLink() = default;
+
+std::unique_ptr<WorkerLink> WorkerLink::Connect(const WorkerParams& params) {
   auto fd_or = ConnectWithBackoff(params.port, params.connect_attempts,
                                   params.connect_backoff_ms);
   if (!fd_or.ok()) _exit(3);
-  LockedSender sender;
-  sender.fd = *fd_or;
+  auto sender = std::make_unique<Sender>();
+  sender->fd = *fd_or;
 
   std::string hello =
       EncodeHelloPayload(params.worker_id, static_cast<int64_t>(getpid()),
                          params.token, SteadyNowUs());
-  if (!sender.Send(FrameType::kHello, hello).ok()) _exit(3);
+  if (!sender->Send(FrameType::kHello, hello).ok()) _exit(3);
 
-  FrameReader reader;
-  auto ack_or = RecvFrameBlocking(sender.fd, &reader);
+  std::unique_ptr<WorkerLink> link(
+      new WorkerLink(std::move(sender), params.stall_ms));
+  auto ack_or = RecvFrameBlocking(link->sender_->fd, &link->reader_);
   if (!ack_or.ok() || ack_or->type != FrameType::kHelloAck) _exit(3);
 
   // Heartbeat beacon. Detached: the thread dies with the process on
-  // _exit, and a send failure means the coordinator is gone — nothing
-  // left to do but exit.
-  std::thread([&sender, heartbeat_ms = params.heartbeat_ms]() {
+  // _exit (the Sender it uses is never freed before that), and a send
+  // failure means the coordinator is gone — nothing left to do but
+  // exit.
+  std::thread([sender = link->sender_.get(),
+               heartbeat_ms = params.heartbeat_ms]() {
     for (;;) {
       std::this_thread::sleep_for(std::chrono::milliseconds(heartbeat_ms));
-      if (!sender.Send(FrameType::kHeartbeat, std::string()).ok()) {
+      if (!sender->Send(FrameType::kHeartbeat, std::string()).ok()) {
         _exit(3);
       }
     }
   }).detach();
+  return link;
+}
 
+void WorkerLink::AwaitWave(const runtime::RemoteTaskWave& wave) {
+  auto frame_or = RecvFrameBlocking(sender_->fd, &reader_);
+  if (!frame_or.ok()) _exit(3);
+  if (frame_or->type == FrameType::kShutdown) _exit(0);
+  if (frame_or->type != FrameType::kWave) _exit(3);
+  // A replica that reached another wave than the coordinator's no longer
+  // holds the coordinator's state; the coordinator treats the exit like
+  // any lost worker and forks a fresh one at its next wave.
+  if (frame_or->payload != EncodeWavePayload(wave)) _exit(4);
+}
+
+void WorkerLink::ServeWave(const runtime::RemoteTaskWave& wave) {
   for (;;) {
-    auto frame_or = RecvFrameBlocking(sender.fd, &reader);
+    auto frame_or = RecvFrameBlocking(sender_->fd, &reader_);
     if (!frame_or.ok()) _exit(3);
-    if (frame_or->type == FrameType::kShutdown) _exit(0);
-    if (frame_or->type != FrameType::kTask) _exit(3);
-
-    int p = 0;
-    int attempt = 0;
-    if (!DecodeTaskPayload(frame_or->payload, &p, &attempt).ok()) _exit(3);
-    if (params.stall_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(params.stall_ms));
-    }
-
-    const double task_t0 = SteadyNowUs();
-    Status task_status = wave.run(p, attempt);
-    std::string slots;
-    if (task_status.ok()) {
-      auto slots_or = wave.encode(p);
-      if (slots_or.ok()) {
-        slots = std::move(*slots_or);
-      } else {
-        task_status = slots_or.status();
+    switch (frame_or->type) {
+      case FrameType::kTask:
+        RunTask(wave, frame_or->payload);
+        break;
+      case FrameType::kTaskResult: {
+        // A result another worker produced, relayed verbatim by the
+        // coordinator after it installed the same bytes.
+        int p = 0;
+        int attempt = 0;
+        Status task_status;
+        std::string_view slots;
+        if (!DecodeTaskResultPayload(frame_or->payload, &p, &attempt,
+                                     &task_status, &slots)
+                 .ok() ||
+            !task_status.ok() || p < 0 ||
+            p >= static_cast<int>(wave.task_work.size()) ||
+            !wave.install(p, slots).ok()) {
+          _exit(3);
+        }
+        break;
       }
-    }
-    // Telemetry goes out under the same sender lock scheme, immediately
-    // before the result frame; TCP ordering then guarantees the
-    // coordinator splices the spans before it processes the result.
-    // Only successful tasks ship telemetry: failed simulated attempts
-    // never produce a coordinator-side task span either.
-    if (params.telemetry && task_status.ok()) {
-      runtime::WorkerTelemetry telemetry;
-      telemetry.task = p;
-      telemetry.attempt = attempt;
-      telemetry.peak_rss_bytes = runtime::MetricsRegistry::ProcessPeakRssBytes();
-      runtime::WorkerSpan span;
-      span.start_abs_us = task_t0;
-      span.dur_us = SteadyNowUs() - task_t0;
-      span.partition = p;
-      span.attempt = attempt;
-      span.stage_id = wave.stage;
-      span.rows = p >= 0 && p < static_cast<int>(wave.task_work.size())
-                      ? wave.task_work[static_cast<size_t>(p)]
-                      : -1;
-      telemetry.spans.push_back(span);
-      if (!sender
-               .Send(FrameType::kTelemetry, EncodeTelemetryPayload(telemetry))
-               .ok()) {
+      case FrameType::kWaveEnd:
+        return;
+      case FrameType::kShutdown:
+        _exit(0);
+      default:
         _exit(3);
-      }
     }
-    std::string result = EncodeTaskResultPayload(p, attempt, task_status,
-                                                 slots);
-    if (!sender.Send(FrameType::kTaskResult, result).ok()) _exit(3);
   }
+}
+
+void WorkerLink::RunTask(const runtime::RemoteTaskWave& wave,
+                         const std::string& payload) {
+  int p = 0;
+  int attempt = 0;
+  if (!DecodeTaskPayload(payload, &p, &attempt).ok()) _exit(3);
+  if (stall_ms_ > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms_));
+  }
+
+  const double task_t0 = SteadyNowUs();
+  Status task_status = wave.run(p, attempt);
+  std::string slots;
+  if (task_status.ok()) {
+    auto slots_or = wave.encode(p);
+    if (slots_or.ok()) {
+      slots = std::move(*slots_or);
+    } else {
+      task_status = slots_or.status();
+    }
+  }
+  // Telemetry goes out under the same sender lock scheme, immediately
+  // before the result frame; TCP ordering then guarantees the
+  // coordinator splices the spans before it processes the result.
+  // Only successful tasks ship telemetry: failed simulated attempts
+  // never produce a coordinator-side task span either.
+  if (wave.want_telemetry && task_status.ok()) {
+    runtime::WorkerTelemetry telemetry;
+    telemetry.task = p;
+    telemetry.attempt = attempt;
+    telemetry.peak_rss_bytes = runtime::MetricsRegistry::ProcessPeakRssBytes();
+    runtime::WorkerSpan span;
+    span.start_abs_us = task_t0;
+    span.dur_us = SteadyNowUs() - task_t0;
+    span.partition = p;
+    span.attempt = attempt;
+    span.stage_id = wave.stage;
+    span.rows = p >= 0 && p < static_cast<int>(wave.task_work.size())
+                    ? wave.task_work[static_cast<size_t>(p)]
+                    : -1;
+    telemetry.spans.push_back(span);
+    if (!sender_
+             ->Send(FrameType::kTelemetry, EncodeTelemetryPayload(telemetry))
+             .ok()) {
+      _exit(3);
+    }
+  }
+  std::string result = EncodeTaskResultPayload(p, attempt, task_status, slots);
+  if (!sender_->Send(FrameType::kTaskResult, result).ok()) _exit(3);
+}
+
+void WorkerMain(const WorkerParams& params,
+                const runtime::RemoteTaskWave& wave) {
+  // Held until _exit: the heartbeat thread keeps using the link's sender.
+  std::unique_ptr<WorkerLink> link = WorkerLink::Connect(params);
+  link->ServeWave(wave);
+  _exit(0);
 }
 
 }  // namespace diablo::dist

@@ -135,6 +135,9 @@ Status TargetExecutor::Run(const comp::TargetProgram& program,
   runtime::ScopedSpan run_span(
       engine_->trace(), runtime::SpanKind::kRun,
       program_name_.empty() ? "run" : StrCat("run ", program_name_));
+  // One remote scope per run: dist workers are forked at its first wave
+  // and live until every statement is done, however the run returns.
+  runtime::Engine::RemoteScope remote_scope(engine_);
   for (const auto& [name, value] : inputs) {
     if (value.is_bag()) {
       ValueVec rows = value.bag();

@@ -1,7 +1,9 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -614,6 +616,23 @@ Engine::Engine(EngineConfig config)
 
 Engine::~Engine() = default;
 
+Engine::RemoteScope::RemoteScope(Engine* engine) {
+  if (engine->config_.remote == nullptr || engine->remote_scope_ != 0) return;
+  // Process-wide ids: two engines sharing one backend never share one.
+  static std::atomic<uint64_t> next_scope{1};
+  engine_ = engine;
+  engine_->remote_scope_ = next_scope.fetch_add(1);
+  engine_->remote_waves_in_scope_ = 0;
+}
+
+Engine::RemoteScope::~RemoteScope() {
+  if (engine_ == nullptr) return;
+  std::function<void()> on_end = std::move(engine_->remote_scope_end_);
+  engine_->remote_scope_end_ = nullptr;
+  engine_->remote_scope_ = 0;
+  if (on_end) on_end();
+}
+
 Dataset Engine::Parallelize(ValueVec rows) const {
   return Parallelize(std::move(rows), config_.num_partitions);
 }
@@ -763,8 +782,13 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
   wave.max_sim_attempts = faults_on ? fc.max_task_attempts : 1;
   wave.run = fn;
   wave.encode = [&slots](int p) { return EncodeTaskSlots(slots, p); };
-  wave.install = [&slots](int p, const std::string& bytes) {
+  wave.install = [&slots](int p, std::string_view bytes) {
     return DecodeTaskSlots(slots, p, bytes);
+  };
+  wave.scope = remote_scope_;
+  if (remote_scope_ != 0) wave.seq = remote_waves_in_scope_++;
+  wave.at_scope_end = [this](std::function<void()> on_end) {
+    remote_scope_end_ = std::move(on_end);
   };
   wave.begin_attempt = [&attempts](int p) {
     return static_cast<int>(attempts[p]++);

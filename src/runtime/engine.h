@@ -114,10 +114,12 @@ struct EngineConfig {
   bool tracing = true;
   /// When set, every task wave executes on this remote backend (the
   /// multi-process coordinator of src/dist/) instead of in-process
-  /// threads: workers run the task closures against their forked
-  /// copy-on-write snapshot and results come back over the wire
-  /// (runtime/wave_io.h). The engine then forces host_threads = 1 — the
-  /// driver must be single-threaded at fork time. Not owned.
+  /// threads: workers run the task closures against their forked copy of
+  /// the driver state and results come back over the wire
+  /// (runtime/wave_io.h). Inside a RemoteScope the workers are replicas
+  /// that live across waves. The engine then forces host_threads = 1 —
+  /// the driver must be single-threaded at fork time, and a replica
+  /// runs every driver step inline. Not owned.
   RemoteExecutor* remote = nullptr;
   /// With `remote`: treat a real worker death as a partition loss and
   /// route the dead worker's partitions through the lineage
@@ -206,6 +208,25 @@ class Engine {
 
   explicit Engine(EngineConfig config = EngineConfig());
   ~Engine();
+
+  /// Marks one program run (TargetExecutor::Run: input ingest plus every
+  /// statement) as a scope of the remote backend. Every task wave issued
+  /// while the scope is open carries its id, so the backend forks its
+  /// workers once, at the scope's first wave, and keeps them as replicas
+  /// of the driver until the destructor ends the scope — the one place
+  /// where replicas are retired and where a replica process exits,
+  /// whichever way the run returns. Without EngineConfig::remote, or
+  /// inside a scope that is already open, it does nothing.
+  class RemoteScope {
+   public:
+    explicit RemoteScope(Engine* engine);
+    ~RemoteScope();
+    RemoteScope(const RemoteScope&) = delete;
+    RemoteScope& operator=(const RemoteScope&) = delete;
+
+   private:
+    Engine* engine_ = nullptr;  ///< null when this object opened no scope
+  };
 
   const EngineConfig& config() const { return config_; }
   Metrics& metrics() { return metrics_; }
@@ -575,6 +596,12 @@ class Engine {
   /// multi-threaded wave and reused for the engine's whole lifetime.
   /// Mutable: creating it does not change observable engine state.
   mutable std::unique_ptr<WorkerPool> pool_;
+  /// The open RemoteScope's id (0 = none), the number of remote waves
+  /// issued in it so far, and what the backend armed to run when it
+  /// ends (RemoteTaskWave::at_scope_end).
+  uint64_t remote_scope_ = 0;
+  int64_t remote_waves_in_scope_ = 0;
+  std::function<void()> remote_scope_end_;
   /// Partitions owed by workers that died mid-wave
   /// (EngineConfig::dist_lose_on_kill): registered by the remote
   /// backend's on_worker_lost hook, consumed by the next RecoverInput

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -42,11 +43,25 @@ struct WorkerTelemetry {
 /// lives in src/dist/ — runtime/ never links against dist/.
 ///
 /// Split of responsibilities:
-///  - `run` and `encode` execute on the WORKER side (after fork they run
-///    in the child against its copy-on-write snapshot of the wave
-///    closures).
-///  - `install` and every hook below execute on the COORDINATOR side,
-///    against the driver's live slot vectors.
+///  - `run` and `encode` execute on the WORKER side, in a forked worker
+///    process against its own copy of the driver state.
+///  - `install` executes on BOTH sides: the coordinator installs every
+///    accepted result into the driver's live slot vectors, and a worker
+///    replica installs the results of the tasks other workers ran, so
+///    it ends the wave holding the coordinator's slots.
+///  - every other hook below executes on the COORDINATOR side only.
+///
+/// Worker replicas. Inside an Engine::RemoteScope (one program run) the
+/// backend forks its workers once, at the scope's first wave. A forked
+/// worker is then a replica: it returns from the wave into the same
+/// engine and driver code the coordinator runs, builds the next wave's
+/// closures itself, and meets the coordinator at that wave, whose
+/// header (`scope`, `seq`, `stage`, `label`, task count) it checks
+/// against its own. A wave outside any scope is a scope of one wave: its
+/// workers exit when it ends. Because DecodeTaskSlots writes whole
+/// slots and slots are a wave's only outputs, a replica that ran its own
+/// tasks and installed every other task's result ends the wave with the
+/// same slot contents as the coordinator.
 ///
 /// Simulated faults stay engine-owned: the coordinator drives the same
 /// attempt loop the local scheduler runs (begin_attempt / sim_kill /
@@ -69,15 +84,29 @@ struct RemoteTaskWave {
   /// reaches this bound fails the wave via `sim_budget_exhausted`.
   int max_sim_attempts = 1;
 
+  /// Id of the Engine::RemoteScope the wave runs in (0 = none: a scope
+  /// of this wave alone). Waves of one scope may share worker replicas.
+  uint64_t scope = 0;
+  /// 0-based position of the wave within its scope; part of the header
+  /// a replica checks.
+  int64_t seq = 0;
+  /// BOTH sides, called by the backend in its own process: `on_end` is
+  /// run when the scope ends (Engine::RemoteScope's destructor, which
+  /// every return path of the scope passes). The coordinator arms the
+  /// teardown of its replicas at the scope's first wave; a forked
+  /// replica re-arms it with its own exit, so the end of the scope is
+  /// the only place a replica leaves the driver code.
+  std::function<void(std::function<void()> on_end)> at_scope_end;
+
   /// WORKER: runs task `p` as simulated attempt `attempt`, writing the
   /// worker-local copy of the wave's slots. May return TaskLost (a
   /// simulated in-task fault) — retryable by the coordinator.
   std::function<Status(int p, int attempt)> run;
   /// WORKER: encodes task `p`'s slots after a successful run.
   std::function<StatusOr<std::string>(int p)> encode;
-  /// COORDINATOR: installs a worker's encoded slots for task `p` into
-  /// the driver's slot vectors.
-  std::function<Status(int p, const std::string& bytes)> install;
+  /// BOTH: installs a worker's encoded slots for task `p` into this
+  /// process's slot vectors.
+  std::function<Status(int p, std::string_view bytes)> install;
 
   /// COORDINATOR: starts the next simulated attempt of task `p` and
   /// returns its 0-based attempt number (charges the engine's per-stage

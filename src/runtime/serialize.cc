@@ -45,7 +45,7 @@ void PutWireU64(uint64_t v, std::string* out) {
   PutWireU32(static_cast<uint32_t>(v >> 32), out);
 }
 
-StatusOr<uint32_t> GetWireU32(const std::string& data, size_t* offset) {
+StatusOr<uint32_t> GetWireU32(std::string_view data, size_t* offset) {
   if (*offset + 4 > data.size()) return Truncated();
   uint32_t v = 0;
   for (int i = 3; i >= 0; --i) {
@@ -55,7 +55,7 @@ StatusOr<uint32_t> GetWireU32(const std::string& data, size_t* offset) {
   return v;
 }
 
-StatusOr<uint64_t> GetWireU64(const std::string& data, size_t* offset) {
+StatusOr<uint64_t> GetWireU64(std::string_view data, size_t* offset) {
   DIABLO_ASSIGN_OR_RETURN(uint32_t lo, GetWireU32(data, offset));
   DIABLO_ASSIGN_OR_RETURN(uint32_t hi, GetWireU32(data, offset));
   return (static_cast<uint64_t>(hi) << 32) | lo;
@@ -66,10 +66,10 @@ namespace {
 // Local aliases keep the value codec below unchanged.
 void PutU32(uint32_t v, std::string* out) { PutWireU32(v, out); }
 void PutU64(uint64_t v, std::string* out) { PutWireU64(v, out); }
-StatusOr<uint32_t> GetU32(const std::string& data, size_t* offset) {
+StatusOr<uint32_t> GetU32(std::string_view data, size_t* offset) {
   return GetWireU32(data, offset);
 }
-StatusOr<uint64_t> GetU64(const std::string& data, size_t* offset) {
+StatusOr<uint64_t> GetU64(std::string_view data, size_t* offset) {
   return GetWireU64(data, offset);
 }
 
@@ -131,7 +131,7 @@ std::string Serialize(const Value& v) {
 
 namespace {
 
-StatusOr<Value> DeserializeValueAtDepth(const std::string& data, size_t* offset,
+StatusOr<Value> DeserializeValueAtDepth(std::string_view data, size_t* offset,
                                         int depth) {
   if (depth > kMaxDeserializeDepth) {
     return Status::RuntimeError("serialized value nested too deeply");
@@ -162,7 +162,7 @@ StatusOr<Value> DeserializeValueAtDepth(const std::string& data, size_t* offset,
     case kTagString: {
       DIABLO_ASSIGN_OR_RETURN(uint32_t len, GetU32(data, offset));
       if (*offset + len > data.size()) return Truncated();
-      std::string s = data.substr(*offset, len);
+      std::string s(data.substr(*offset, len));
       *offset += len;
       return Value::MakeString(std::move(s));
     }
@@ -190,7 +190,7 @@ StatusOr<Value> DeserializeValueAtDepth(const std::string& data, size_t* offset,
       for (uint32_t i = 0; i < n; ++i) {
         DIABLO_ASSIGN_OR_RETURN(uint32_t len, GetU32(data, offset));
         if (*offset + len > data.size()) return Truncated();
-        std::string name = data.substr(*offset, len);
+        std::string name(data.substr(*offset, len));
         *offset += len;
         DIABLO_ASSIGN_OR_RETURN(
             Value v, DeserializeValueAtDepth(data, offset, depth + 1));
@@ -207,11 +207,11 @@ StatusOr<Value> DeserializeValueAtDepth(const std::string& data, size_t* offset,
 
 }  // namespace
 
-StatusOr<Value> DeserializeValue(const std::string& data, size_t* offset) {
+StatusOr<Value> DeserializeValue(std::string_view data, size_t* offset) {
   return DeserializeValueAtDepth(data, offset, 0);
 }
 
-StatusOr<Value> Deserialize(const std::string& data) {
+StatusOr<Value> Deserialize(std::string_view data) {
   size_t offset = 0;
   DIABLO_ASSIGN_OR_RETURN(Value v, DeserializeValue(data, &offset));
   if (offset != data.size()) {
@@ -225,7 +225,7 @@ namespace {
 /// Shared bound for the column-batch decoder: every element of a typed
 /// payload costs at least one byte, so a count prefix larger than the
 /// remaining buffer is corrupt and must fail before any reserve().
-Status CheckBatchCount(uint32_t n, const std::string& data, size_t offset,
+Status CheckBatchCount(uint32_t n, std::string_view data, size_t offset,
                        const char* what) {
   if (static_cast<size_t>(n) > data.size() - offset) {
     return Status::RuntimeError(
@@ -279,7 +279,7 @@ void SerializeColumnBatch(const ColumnBatch& batch, std::string* out) {
   }
 }
 
-StatusOr<ColumnBatch> DeserializeColumnBatch(const std::string& data,
+StatusOr<ColumnBatch> DeserializeColumnBatch(std::string_view data,
                                              size_t* offset) {
   DIABLO_ASSIGN_OR_RETURN(uint32_t n, GetWireU32(data, offset));
   DIABLO_RETURN_IF_ERROR(CheckBatchCount(n, data, *offset, "row"));
@@ -353,8 +353,8 @@ StatusOr<ColumnBatch> DeserializeColumnBatch(const std::string& data,
       for (uint32_t c = 0; c < dict_size; ++c) {
         DIABLO_ASSIGN_OR_RETURN(uint32_t len, GetWireU32(data, offset));
         if (*offset + len > data.size()) return Truncated();
-        uint32_t code =
-            dict.Intern(Value::MakeString(data.substr(*offset, len)));
+        uint32_t code = dict.Intern(
+            Value::MakeString(std::string(data.substr(*offset, len))));
         *offset += len;
         // A duplicate entry re-interns to an earlier code; codes pointing
         // at it would decode to a batch whose dictionary disagrees with
@@ -396,7 +396,7 @@ void SerializeHashedRow(const HashedRow& hr, std::string* out) {
   SerializeValue(hr.row, out);
 }
 
-StatusOr<HashedRow> DeserializeHashedRow(const std::string& data,
+StatusOr<HashedRow> DeserializeHashedRow(std::string_view data,
                                          size_t* offset) {
   DIABLO_ASSIGN_OR_RETURN(uint64_t hash, GetWireU64(data, offset));
   DIABLO_ASSIGN_OR_RETURN(Value row, DeserializeValue(data, offset));
@@ -408,7 +408,7 @@ void SerializeHashedVec(const HashedVec& rows, std::string* out) {
   for (const HashedRow& hr : rows) SerializeHashedRow(hr, out);
 }
 
-StatusOr<HashedVec> DeserializeHashedVec(const std::string& data,
+StatusOr<HashedVec> DeserializeHashedVec(std::string_view data,
                                          size_t* offset) {
   DIABLO_ASSIGN_OR_RETURN(uint32_t n, GetWireU32(data, offset));
   // Every row is at least 9 bytes (u64 hash + one tag); a length prefix

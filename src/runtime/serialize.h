@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "runtime/column_batch.h"
@@ -27,8 +28,8 @@ namespace diablo::runtime {
 /// wire format (values, HashedRow batches, dist/ frame payloads).
 void PutWireU32(uint32_t v, std::string* out);
 void PutWireU64(uint64_t v, std::string* out);
-StatusOr<uint32_t> GetWireU32(const std::string& data, size_t* offset);
-StatusOr<uint64_t> GetWireU64(const std::string& data, size_t* offset);
+StatusOr<uint32_t> GetWireU32(std::string_view data, size_t* offset);
+StatusOr<uint64_t> GetWireU64(std::string_view data, size_t* offset);
 
 /// Appends the encoding of `v` to `out`.
 void SerializeValue(const Value& v, std::string* out);
@@ -38,22 +39,22 @@ std::string Serialize(const Value& v);
 
 /// Decodes one value from `data` starting at `*offset`, advancing it.
 /// Errors on truncated or corrupt input.
-StatusOr<Value> DeserializeValue(const std::string& data, size_t* offset);
+StatusOr<Value> DeserializeValue(std::string_view data, size_t* offset);
 
 /// Decodes a buffer that contains exactly one value.
-StatusOr<Value> Deserialize(const std::string& data);
+StatusOr<Value> Deserialize(std::string_view data);
 
 /// Shuffle rows cross the network with their memoized key hash so the
 /// receive side never rehashes: u64 hash, then the encoded row.
 void SerializeHashedRow(const HashedRow& hr, std::string* out);
-StatusOr<HashedRow> DeserializeHashedRow(const std::string& data,
+StatusOr<HashedRow> DeserializeHashedRow(std::string_view data,
                                          size_t* offset);
 
 /// A length-prefixed batch of hashed rows (u32 count, then each row).
 /// The decoder bounds the declared count against the remaining bytes,
 /// so an oversized length prefix fails fast instead of reserving.
 void SerializeHashedVec(const HashedVec& rows, std::string* out);
-StatusOr<HashedVec> DeserializeHashedVec(const std::string& data,
+StatusOr<HashedVec> DeserializeHashedVec(std::string_view data,
                                          size_t* offset);
 
 /// A columnar partition batch (runtime/column_batch.h): u32 row count,
@@ -64,7 +65,7 @@ StatusOr<HashedVec> DeserializeHashedVec(const std::string& data,
 /// every count, validates codes against the dictionary and rejects
 /// duplicate dictionary entries, so corrupt bytes fail with a Status.
 void SerializeColumnBatch(const ColumnBatch& batch, std::string* out);
-StatusOr<ColumnBatch> DeserializeColumnBatch(const std::string& data,
+StatusOr<ColumnBatch> DeserializeColumnBatch(std::string_view data,
                                              size_t* offset);
 
 }  // namespace diablo::runtime

@@ -26,7 +26,7 @@ Status CheckTask(int task, size_t size, const char* field) {
   return Status::OK();
 }
 
-StatusOr<bool> GetFlag(const std::string& data, size_t* offset,
+StatusOr<bool> GetFlag(std::string_view data, size_t* offset,
                        bool expected_present, const char* field) {
   if (*offset >= data.size()) {
     return Status::RuntimeError("truncated task-slot payload");
@@ -49,7 +49,7 @@ StatusOr<bool> GetFlag(const std::string& data, size_t* offset,
 /// Cheap bound shared by every count prefix below: each element costs at
 /// least one byte, so a count larger than the remaining payload is a
 /// corrupt (oversized) length prefix.
-Status CheckCount(uint32_t n, const std::string& data, size_t offset) {
+Status CheckCount(uint32_t n, std::string_view data, size_t offset) {
   if (static_cast<size_t>(n) > data.size() - offset) {
     return Status::RuntimeError("oversized length prefix in task-slot payload");
   }
@@ -61,7 +61,7 @@ void PutNumVec(const std::vector<int64_t>& v, std::string* out) {
   for (int64_t x : v) PutWireU64(static_cast<uint64_t>(x), out);
 }
 
-StatusOr<std::vector<int64_t>> GetNumVec(const std::string& data,
+StatusOr<std::vector<int64_t>> GetNumVec(std::string_view data,
                                          size_t* offset) {
   DIABLO_ASSIGN_OR_RETURN(uint32_t n, GetWireU32(data, offset));
   DIABLO_RETURN_IF_ERROR(CheckCount(n, data, *offset));
@@ -150,7 +150,7 @@ StatusOr<std::string> EncodeTaskSlots(const WaveSlots& slots, int task) {
 }
 
 Status DecodeTaskSlots(const WaveSlots& slots, int task,
-                       const std::string& bytes) {
+                       std::string_view bytes) {
   size_t offset = 0;
   DIABLO_ASSIGN_OR_RETURN(
       bool has_rows, GetFlag(bytes, &offset, slots.rows != nullptr, "rows"));

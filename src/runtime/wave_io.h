@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -99,7 +100,7 @@ StatusOr<std::string> EncodeTaskSlots(const WaveSlots& slots, int task);
 /// length prefix is bounded against the remaining bytes, and trailing
 /// bytes are rejected.
 Status DecodeTaskSlots(const WaveSlots& slots, int task,
-                       const std::string& bytes);
+                       std::string_view bytes);
 
 }  // namespace diablo::runtime
 

@@ -6,11 +6,15 @@
 // produces results byte-identical to the single-process engine.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/chaos.h"
@@ -239,7 +243,7 @@ TEST(PayloadTest, TaskAndResultRoundTrip) {
   Status failure = Status::TaskLost("payload corrupted in flight");
   std::string result = EncodeTaskResultPayload(5, 1, failure, "SLOTBYTES");
   Status decoded_status = Status::OK();
-  std::string slots;
+  std::string_view slots;
   ASSERT_TRUE(
       DecodeTaskResultPayload(result, &p, &attempt, &decoded_status, &slots)
           .ok());
@@ -633,6 +637,184 @@ TEST(DistEndToEndTest, ChaosTelemetryMergesWorkerSpansAndEvents) {
   // Worker-side counters reached the registry and the stage stats.
   EXPECT_GT(registry.CounterValue("diablo_stages_total"), 0);
   EXPECT_GT(dist.metrics().max_peak_rss_bytes(), 0);
+}
+
+/// Forwards every wave to `inner` and counts the ones with tasks — a
+/// wrapper that, like the ledger's timing one, forwards RunWave only.
+class CountingRemote : public runtime::RemoteExecutor {
+ public:
+  explicit CountingRemote(runtime::RemoteExecutor* inner) : inner_(inner) {}
+
+  Status RunWave(const runtime::RemoteTaskWave& wave,
+                 runtime::RemoteWaveStats* stats) override {
+    if (!wave.task_work.empty()) ++waves_;
+    return inner_->RunWave(wave, stats);
+  }
+
+  int waves() const { return waves_; }
+
+ private:
+  runtime::RemoteExecutor* inner_;
+  int waves_ = 0;
+};
+
+/// RunIterativeRanks inside one Engine::RemoteScope, as a program run.
+StatusOr<ValueVec> RunIterativeRanksScoped(Engine& engine) {
+  Engine::RemoteScope scope(&engine);
+  return RunIterativeRanks(engine);
+}
+
+/// True when this process has no child left, reaped or not.
+bool NoChildLeft() {
+  int wstatus = 0;
+  return waitpid(-1, &wstatus, WNOHANG) < 0 && errno == ECHILD;
+}
+
+TEST(DistReplicaTest, ScopedRunForksEachWorkerOnce) {
+  Engine local((EngineConfig()));
+  auto expected = RunIterativeRanks(local);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  Coordinator coordinator(FastDist(3));
+  CountingRemote counting(&coordinator);
+  EngineConfig config = DistConfigured(&coordinator);
+  config.remote = &counting;
+  Engine dist(config);
+  auto got = RunIterativeRanksScoped(dist);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  // Every wave of the scope ran on the same three replicas.
+  EXPECT_GT(counting.waves(), 3);
+  EXPECT_EQ(coordinator.forks(), 3);
+  EXPECT_TRUE(NoChildLeft());
+}
+
+TEST(DistReplicaTest, ReplicasSurviveTwoChaosKillsWithIdenticalOutput) {
+  Engine local((EngineConfig()));
+  auto expected = RunIterativeRanks(local);
+  ASSERT_TRUE(expected.ok());
+
+  // The kill schedule of SurvivesTwoChaosKillsWithIdenticalOutput, now
+  // hitting replicas: a killed replica's tasks go to the survivors and
+  // the next wave re-forks it from the coordinator's state.
+  DistConfig config = FastDist(3);
+  config.chaos.kills.push_back({/*stage=*/1, /*worker=*/0, 0});
+  config.chaos.kills.push_back({/*stage=*/4, /*worker=*/1, 1});
+  Coordinator coordinator(config);
+  Engine dist(DistConfigured(&coordinator));
+  auto got = RunIterativeRanksScoped(dist);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  EXPECT_EQ(coordinator.chaos_kills(), 2);
+  EXPECT_GE(dist.metrics().total_dist_workers_lost(), 2);
+  EXPECT_GT(coordinator.forks(), 3);
+  EXPECT_TRUE(NoChildLeft());
+}
+
+TEST(DistReplicaTest, CoordinatorEngineAtFourHostThreads) {
+  Engine local((EngineConfig()));
+  auto expected = RunIterativeRanks(local);
+  ASSERT_TRUE(expected.ok());
+
+  Coordinator coordinator(FastDist(2));
+  EngineConfig config = DistConfigured(&coordinator);
+  config.host_threads = 4;
+  Engine dist(config);
+  auto got = RunIterativeRanksScoped(dist);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  EXPECT_EQ(coordinator.forks(), 2);
+}
+
+TEST(DistReplicaTest, DivergedReplicasAreReplacedAndOutputUnchanged) {
+  Engine local((EngineConfig()));
+  auto expected = RunIterativeRanks(local);
+  ASSERT_TRUE(expected.ok());
+
+  Coordinator coordinator(FastDist(2));
+  Engine dist(DistConfigured(&coordinator));
+  const pid_t driver = getpid();
+  auto run = [&]() -> StatusOr<ValueVec> {
+    Engine::RemoteScope scope(&dist);
+    // Forks both replicas at its first wave.
+    DIABLO_ASSIGN_OR_RETURN(ValueVec warmup, RunWordcount(dist));
+    if (getpid() != driver) {
+      // Only a replica's copy of the driver takes this detour: it runs a
+      // wave the coordinator never starts, so the replica's next header
+      // check fails and it exits like a lost worker.
+      Dataset detour = dist.Parallelize(std::move(warmup));
+      DIABLO_ASSIGN_OR_RETURN(
+          Dataset mapped,
+          dist.Map(
+              detour, [](const Value& v) -> StatusOr<Value> { return v; },
+              "detour"));
+      DIABLO_RETURN_IF_ERROR(dist.Force(mapped).status());
+    }
+    return RunIterativeRanks(dist);
+  };
+  auto got = run();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  EXPECT_GE(dist.metrics().total_dist_workers_lost(), 2);
+  // Both replicas diverged in the same wave: a mid-wave respawn finished
+  // it, and the next wave forked two fresh replicas.
+  EXPECT_GE(coordinator.forks(), 5);
+  EXPECT_TRUE(NoChildLeft());
+}
+
+/// Two healthy rounds, then a map that fails on one row.
+StatusOr<ValueVec> RunFailingMidScope(Engine& engine) {
+  Engine::RemoteScope scope(&engine);
+  DIABLO_ASSIGN_OR_RETURN(ValueVec ranks, RunIterativeRanks(engine));
+  Dataset ds = engine.Parallelize(std::move(ranks));
+  DIABLO_ASSIGN_OR_RETURN(
+      Dataset bad, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
+        if (v.tuple()[0].AsInt() == 3) {
+          return Status::RuntimeError("rank of vertex 3 rejected");
+        }
+        return v;
+      }, "pr.check"));
+  DIABLO_ASSIGN_OR_RETURN(
+      Dataset summed,
+      engine.ReduceByKey(
+          bad,
+          [](const Value& a, const Value& b) -> StatusOr<Value> {
+            return D(a.AsDouble() + b.AsDouble());
+          },
+          "pr.resum"));
+  return engine.Collect(summed);
+}
+
+TEST(DistReplicaTest, TaskErrorMidScopeReturnsExactStatusAndReapsAll) {
+  Engine local((EngineConfig()));
+  auto expected = RunFailingMidScope(local);
+  ASSERT_FALSE(expected.ok());
+
+  Coordinator coordinator(FastDist(2));
+  Engine dist(DistConfigured(&coordinator));
+  auto got = RunFailingMidScope(dist);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kRuntimeError);
+  EXPECT_EQ(got.status().ToString(), expected.status().ToString());
+  EXPECT_TRUE(NoChildLeft());
+}
+
+TEST(DistReplicaTest, UnscopedWavesForkEveryWorkerPerWave) {
+  Engine local((EngineConfig()));
+  auto expected = RunWordcount(local);
+  ASSERT_TRUE(expected.ok());
+
+  Coordinator coordinator(FastDist(2));
+  CountingRemote counting(&coordinator);
+  EngineConfig config = DistConfigured(&coordinator);
+  config.remote = &counting;
+  Engine dist(config);
+  auto got = RunWordcount(dist);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  EXPECT_GT(counting.waves(), 1);
+  EXPECT_EQ(coordinator.forks(), 2 * counting.waves());
+  EXPECT_TRUE(NoChildLeft());
 }
 
 TEST(DistEndToEndTest, ExhaustedRespawnBudgetFailsCleanly) {

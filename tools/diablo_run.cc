@@ -644,11 +644,12 @@ int main(int argc, char** argv) {
     if (coordinator != nullptr) {
       std::printf(
           "dist backend: tasks=%lld retries=%lld workers_lost=%lld "
-          "chaos_kills=%d respawns=%d\n",
+          "forks=%d chaos_kills=%d respawns=%d\n",
           static_cast<long long>(metrics.total_dist_tasks()),
           static_cast<long long>(metrics.total_dist_retries()),
           static_cast<long long>(metrics.total_dist_workers_lost()),
-          coordinator->chaos_kills(), coordinator->respawns_used());
+          coordinator->forks(), coordinator->chaos_kills(),
+          coordinator->respawns_used());
     }
   }
 
@@ -699,6 +700,7 @@ int main(int argc, char** argv) {
                           coordinator->chaos_kills());
       registry.CounterAdd("diablo_worker_respawns_total",
                           coordinator->respawns_used());
+      registry.CounterAdd("diablo_worker_forks_total", coordinator->forks());
     }
     std::ofstream out(metrics_out);
     if (!out) Die("cannot write " + metrics_out);
