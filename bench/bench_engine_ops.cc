@@ -190,14 +190,11 @@ BENCHMARK(BM_DistReduceByKeyTraced)
     ->Args({100000, 10000, 1})
     ->ArgNames({"rows", "keys", "trace"});
 
-// The AB9 ablation pair CI gates with check_bench_regression.py
-// --pair: reduceByKey with the columnar engine (typed combine, typed
-// shuffle, typed reduce — no boxed pair row between the source and the
-// final sorted emit) against the boxed baseline on the same input.
+// reduceByKey over int keys and payloads on the typed path end to end:
+// typed combine, typed shuffle, typed reduce — no boxed pair row
+// between the source and the final sorted emit.
 void BM_ColumnarReduceByKey(benchmark::State& state) {
-  diablo::runtime::EngineConfig config;
-  config.columnar = state.range(2) != 0;
-  Engine engine(config);
+  Engine engine;
   Dataset ds = KeyedData(engine, state.range(0), state.range(1));
   for (auto _ : state) {
     auto out = engine.ReduceByKey(ds, BinOp::kAdd);
@@ -206,16 +203,13 @@ void BM_ColumnarReduceByKey(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ColumnarReduceByKey)
-    ->Args({200000, 25000, 0})
-    ->Args({200000, 25000, 1})
-    ->ArgNames({"rows", "keys", "columnar"});
+    ->Args({200000, 25000})
+    ->ArgNames({"rows", "keys"});
 
-// Second AB9 pair: a fused chain where every operator carries a kernel,
-// so the columnar engine runs it as vector loops over a double column.
+// A fused chain where every operator carries a kernel, so the engine
+// runs it as vector loops over a double column.
 void BM_ColumnarFusedChain(benchmark::State& state) {
-  diablo::runtime::EngineConfig config;
-  config.columnar = state.range(1) != 0;
-  Engine engine(config);
+  Engine engine;
   Dataset ds = KeyedData(engine, state.range(0), 100);
   for (auto _ : state) {
     auto a = engine.MapValues(ds, BinOp::kMul, Value::MakeDouble(2.0));
@@ -227,24 +221,19 @@ void BM_ColumnarFusedChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ColumnarFusedChain)
-    ->Args({200000, 0})
-    ->Args({200000, 1})
-    ->ArgNames({"rows", "columnar"});
+BENCHMARK(BM_ColumnarFusedChain)->Arg(200000)->ArgNames({"rows"});
 
-// The AB10 ablation pair: reduceByKey over a Zipf(2)-keyed count whose
-// input is hash-partitioned by key — the heavy hitter's rows pile into
-// one oversized source partition, exactly the shape an upstream shuffle
-// produces under key skew. mitigate=1 lets the engine salt the hot
-// combine into chunk tasks (EngineConfig::skew); mitigate=0 serializes
-// it. Times are the deterministic cluster cost model's seconds
-// (UseManualTime), so the CI --pair gate is machine-independent; the
-// property suite (tests/skew_test.cc) holds the two outputs
-// byte-identical.
+// reduceByKey over a Zipf(2)-keyed count whose input is hash-partitioned
+// by key — the heavy hitter's rows pile into one oversized source
+// partition, exactly the shape an upstream shuffle produces under key
+// skew, so the engine salts the hot combine into chunk tasks
+// (EngineConfig::skew). Times are the deterministic cluster cost
+// model's seconds (UseManualTime), so they are machine-independent; the
+// property suite (tests/skew_test.cc) holds the output byte-identical
+// to an unsalted run.
 void BM_ReduceByKeySkewed(benchmark::State& state) {
   const int64_t n = state.range(0);
   diablo::runtime::EngineConfig config;
-  config.skew.mitigate = state.range(1) != 0;
   std::mt19937_64 rng(7);
   diablo::bench::ZipfSampler zipf(n / 8, 2.0);
   std::vector<ValueVec> parts(static_cast<size_t>(config.num_partitions));
@@ -266,9 +255,8 @@ void BM_ReduceByKeySkewed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ReduceByKeySkewed)
-    ->Args({200000, 0})
-    ->Args({200000, 1})
-    ->ArgNames({"rows", "mitigate"})
+    ->Arg(200000)
+    ->ArgNames({"rows"})
     ->UseManualTime();
 
 // Join probe throughput: the build side fits a hash table; the probe
@@ -295,11 +283,11 @@ void BM_ValueHash(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueHash);
 
-// Satellite of the AB9 columnar work: vectorized Value::Hash over a
-// whole column vs hashing each boxed row. String columns read the hash
-// cached at dictionary-intern time, so per-row hashing cost collapses
-// to an array load; tag 0 = int64 column, 1 = dictionary strings,
-// 2 = boxed rows (the fallback shape — hashes like the per-row loop).
+// Vectorized Value::Hash over a whole column vs hashing each boxed
+// row. String columns read the hash cached at dictionary-intern time,
+// so per-row hashing cost collapses to an array load; tag 0 = int64
+// column, 1 = dictionary strings, 2 = boxed rows (the fallback shape —
+// hashes like the per-row loop).
 void BM_HashColumn(benchmark::State& state) {
   const int64_t n = state.range(0);
   diablo::runtime::Column col;

@@ -43,7 +43,7 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
-/// Skewed aggregation input (AB10): (key, 1) pairs whose keys are
+/// Skewed aggregation input: (key, 1) pairs whose keys are
 /// Zipf(s) ranks over `keys` ranks — a count aggregation whose heavy
 /// hitters concentrate rows on a few keys.
 Value ZipfPairs(int64_t n, int64_t keys, double s, std::mt19937_64& rng);

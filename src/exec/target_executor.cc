@@ -53,8 +53,8 @@ Status TargetExecutor::StoreArray(const std::string& name, Dataset sparse) {
   // Stored arrays are materialization boundaries: the plan's trailing
   // narrow operators (the translated comprehension's flatMap/map/filter
   // tail) run here as one fused stage — vectorized over column batches
-  // when every operator in the chain carries a kernel
-  // (EngineConfig::columnar), per-row otherwise — and everything
+  // when every operator in the chain carries a kernel, per-row
+  // otherwise — and everything
   // downstream (planner size estimates, tile packing, direct partition
   // reads) sees real rows.
   DIABLO_ASSIGN_OR_RETURN(sparse, engine_->Force(sparse));

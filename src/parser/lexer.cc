@@ -1,6 +1,9 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <unordered_map>
 
 namespace diablo::parser {
@@ -161,12 +164,24 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& source) {
       Token t;
       t.loc = at;
       t.text = num;
+      // A literal that overflows int64 or double is a parse error, not
+      // a silently saturated value. (Double underflow to a subnormal or
+      // zero is fine: that is the nearest representable value.)
+      errno = 0;
+      bool overflow = false;
       if (is_double) {
         t.kind = TokenKind::kDouble;
-        t.double_value = std::stod(num);
+        t.double_value = std::strtod(num.c_str(), nullptr);
+        overflow = std::isinf(t.double_value);
       } else {
         t.kind = TokenKind::kInt;
-        t.int_value = std::stoll(num);
+        t.int_value = std::strtoll(num.c_str(), nullptr, 10);
+        overflow = errno == ERANGE;
+      }
+      if (overflow) {
+        return Status::ParseError(StrCat("numeric literal ", num,
+                                         " out of range at ",
+                                         LocationString(at)));
       }
       tokens.push_back(std::move(t));
       continue;

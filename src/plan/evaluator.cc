@@ -215,7 +215,7 @@ StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx) {
       DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, *ctx.state));
       BinOp op = r.op;
       // The BinOp overload lets the engine fold with native arithmetic
-      // under EngineConfig::columnar (bit-identical to EvalBinOp).
+      // (bit-identical to EvalBinOp).
       DIABLO_ASSIGN_OR_RETURN(
           std::optional<Value> acc,
           ctx.state->engine->Reduce(

@@ -13,7 +13,7 @@
 #include "runtime/value.h"
 
 /// Typed columnar (SoA) partition batches and the vectorized kernels the
-/// engine's hot operators run over them (EngineConfig::columnar).
+/// engine's hot operators run over them whenever the data columnarizes.
 ///
 /// The contract with the boxed path is absolute: every kernel reproduces
 /// the boxed element-at-a-time semantics bit for bit — the same

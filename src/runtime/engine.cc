@@ -252,9 +252,9 @@ size_t RemixHash(size_t h) {
 
 /// The sub-task layout of one salted wave (SkewConfig). Original task p
 /// becomes fanout[p] virtual tasks; virtual task t works on sub-task
-/// index_of[t] of original task_of[t]. fanout == 1 everywhere when
-/// mitigation is off or nothing is hot — the layout then degenerates to
-/// the identity and every downstream loop behaves exactly as before.
+/// index_of[t] of original task_of[t]. fanout == 1 everywhere when the
+/// wave may not split or nothing is hot — the layout then degenerates
+/// to the identity and every downstream loop behaves exactly as before.
 struct SaltPlan {
   bool active = false;
   int64_t extra = 0;        ///< sub-tasks beyond the original task count
@@ -264,21 +264,25 @@ struct SaltPlan {
   std::vector<int> index_of;  ///< virtual -> sub-task index within task
 };
 
-SaltPlan PlanSalt(const std::vector<int64_t>& rows, const SkewConfig& cfg) {
+/// Plans the salt layout of a wave whose tasks carry `rows`; with
+/// `splittable` false (a combine whose partials may not re-merge
+/// exactly) every task stays whole.
+SaltPlan PlanSalt(const std::vector<int64_t>& rows, const SkewConfig& cfg,
+                  bool splittable) {
   SaltPlan plan;
   const int n = static_cast<int>(rows.size());
   plan.fanout.assign(n, 1);
   int64_t total = 0;
   for (int64_t r : rows) total += r;
-  if (cfg.mitigate && n > 1 && total > 0) {
+  if (splittable && n > 1 && total > 0) {
     const double mean = static_cast<double>(total) / n;
     for (int p = 0; p < n; ++p) {
       if (rows[p] >= cfg.min_rows &&
-          static_cast<double>(rows[p]) > cfg.ratio * mean) {
+          static_cast<double>(rows[p]) > kSkewRatio * mean) {
         // Enough sub-tasks that each still carries min_rows-scale work.
         const int64_t want = rows[p] / std::max<int64_t>(cfg.min_rows, 1);
         plan.fanout[p] = static_cast<int>(std::clamp<int64_t>(
-            want, 2, std::max(2, cfg.max_fanout)));
+            want, 2, kSkewMaxFanout));
       }
     }
   }
@@ -609,9 +613,7 @@ Engine::Engine(EngineConfig config)
   // Real kills recover through lineage, so the recompute closures must
   // survive even with every simulated fault class disarmed.
   if (config_.dist_lose_on_kill) config_.faults.retain_lineage = true;
-#ifndef DIABLO_DISABLE_TRACING
   if (config_.tracing) trace_ = std::make_unique<TraceRecorder>();
-#endif
 }
 
 Engine::~Engine() = default;
@@ -1242,7 +1244,7 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
   std::vector<ValueVec> out(n);
   std::vector<ChainTally> tallies(n);
   Status st;
-  if (config_.columnar && ChainFullyKernelized(chain)) {
+  if (ChainFullyKernelized(chain)) {
     st = ForceColumnar(src, label, stage, &out, &tallies, &rec);
   } else {
     WaveSlots slots;
@@ -1492,20 +1494,12 @@ StatusOr<std::vector<HashedVec>> Engine::ShuffleWave(const Dataset& in,
       stage, RowCounts(in),
       [&](int p, const EmitFn& emit) -> Status {
         tallies[p].Reset(chain.size());
-        if (!config_.columnar) {
-          for (const Value& row : in.partition(p)) {
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                chain, 0, row, &tallies[p], [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  return emit(key->Hash(), v);
-                }));
-          }
-          return Status::OK();
-        }
         // Vectorized scatter: buffer the produced rows with their keys
         // in a column, hash the whole key column in one pass (cached
         // dictionary hashes for strings, HashColumn bit-identical to
-        // per-row Value::Hash), then emit in the original order.
+        // per-row Value::Hash; keys that don't columnarize demote the
+        // column to boxed and hash row by row), then emit in the
+        // original order.
         ValueVec rows;
         Column keycol;
         rows.reserve(in.partition(p).size());
@@ -1697,7 +1691,8 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   // chunk order — which IS arrival order, so the merged bag is
   // byte-identical to what the unsplit task would have built.
   const std::vector<int64_t> shuffled_counts = RowCounts(shuffled);
-  const SaltPlan salt = PlanSalt(shuffled_counts, config_.skew);
+  const SaltPlan salt =
+      PlanSalt(shuffled_counts, config_.skew, /*splittable=*/true);
   EmitSkewSalting(config_.events, reduce_stage, "reduce", salt);
   const int num_virtual = static_cast<int>(salt.task_of.size());
   std::vector<int64_t> sub_work(num_virtual);
@@ -1767,15 +1762,13 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   StageStats stats;
   DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, combine_stage, 0, &rec));
   const FusedChain& chain = src.chain();
-  // Typed aggregation (EngineConfig::columnar): a built-in op whose
-  // key/value kinds columnarize folds with native arithmetic in the
-  // same arrival order — bit-identical results, no per-row Value
-  // allocation. The plan-time schema only ever skips the attempt (a
+  // Typed aggregation: a built-in op whose key/value kinds columnarize
+  // folds with native arithmetic in the same arrival order —
+  // bit-identical results, no per-row Value allocation. The plan-time schema only ever skips the attempt (a
   // definitely non-numeric value); kUnknown means detect from the data,
   // and a deviating row mid-stream spills to the boxed accumulator.
   const bool try_typed =
-      config_.columnar && native_op != nullptr &&
-      TypedReduceAccumulator::SupportsOp(*native_op) &&
+      native_op != nullptr && TypedReduceAccumulator::SupportsOp(*native_op) &&
       schema.value != ColumnTag::kString && schema.value != ColumnTag::kBool;
   // Map-side combine (like Spark): fold each input partition first so the
   // shuffle only moves one pair per (partition, key). Any pending fused
@@ -1809,9 +1802,8 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       native_op != nullptr &&
       (*native_op == BinOp::kAdd || *native_op == BinOp::kMul ||
        *native_op == BinOp::kMin || *native_op == BinOp::kMax);
-  SkewConfig combine_cfg = config_.skew;
-  combine_cfg.mitigate = combine_cfg.mitigate && combine_splittable;
-  const SaltPlan combine_salt = PlanSalt(RowCounts(src), combine_cfg);
+  const SaltPlan combine_salt =
+      PlanSalt(RowCounts(src), config_.skew, combine_splittable);
   EmitSkewSalting(config_.events, combine_stage, "combine", combine_salt);
   const int num_combine = static_cast<int>(combine_salt.task_of.size());
   std::vector<int64_t> combine_work(num_combine);
@@ -1986,7 +1978,8 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   // pass preserves arrival order within each stripe, so per-key fold
   // order is untouched for ANY reduce function. The driver's un-salt is
   // a plain sorted merge of disjoint key sets.
-  const SaltPlan reduce_salt = PlanSalt(shuffled_counts, config_.skew);
+  const SaltPlan reduce_salt =
+      PlanSalt(shuffled_counts, config_.skew, /*splittable=*/true);
   EmitSkewSalting(config_.events, reduce_stage, "reduce", reduce_salt);
   const int num_reduce = static_cast<int>(reduce_salt.task_of.size());
   std::vector<TypedRows> typed_parts;
@@ -2407,7 +2400,7 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
   ReduceFn fn = [op](const Value& a, const Value& b) {
     return EvalBinOp(op, a, b);
   };
-  const bool typed = config_.columnar && TypedFold::SupportsOp(op);
+  const bool typed = TypedFold::SupportsOp(op);
   return ReduceImpl(in, fn, typed ? &op : nullptr, label);
 }
 

@@ -30,7 +30,7 @@ class MetricsRegistry;
 /// key, a key-clustered input layout, or many keys hashed together —
 /// the engine "salts" that task: it is split into sub-tasks that run in
 /// parallel, and a final un-salt merge reassembles the task's output
-/// byte-identically to the unmitigated run. Three mechanisms, chosen by
+/// byte-identically to the unsalted run. Three mechanisms, chosen by
 /// operator so exactness never depends on luck:
 ///  - groupByKey reduce tasks split into contiguous row CHUNKS (a key's
 ///    bag is its values in arrival order, and concatenating per-chunk
@@ -43,16 +43,18 @@ class MetricsRegistry;
 ///    (native {+, *, min, max} on int64 payloads) split into contiguous
 ///    row chunks whose partials re-merge in the normal reduce stage.
 struct SkewConfig {
-  /// Master switch (diablo_run --no-skew; the AB10 ablation baseline).
-  bool mitigate = true;
-  /// A task is hot when its rows exceed `ratio` times the wave mean...
-  double ratio = 4.0;
-  /// ...and it carries at least this many rows. Small waves — every
-  /// tier-1 test — never salt, so their stage accounting is untouched.
+  /// A task is hot when its rows exceed kSkewRatio times the wave mean
+  /// and it carries at least this many rows. Small waves — every tier-1
+  /// test — never salt, so their stage accounting is untouched; tests
+  /// lower it so small inputs reach salting.
   int64_t min_rows = 64 * 1024;
-  /// Most sub-tasks one hot task may be split into.
-  int max_fanout = 8;
 };
+
+/// The hot-task ratio of SkewConfig: rows above this multiple of the
+/// wave mean.
+inline constexpr double kSkewRatio = 4.0;
+/// Most sub-tasks one hot task is split into.
+inline constexpr int kSkewMaxFanout = 8;
 
 /// Configuration of the simulated cluster engine.
 struct EngineConfig {
@@ -76,29 +78,9 @@ struct EngineConfig {
   /// shuffle bytes the exact encoded size. Off by default (the
   /// SerializedBytes() estimate is used instead).
   bool serialize_shuffles = false;
-  /// When true (the default), the hot operators run typed columnar fast
-  /// paths (runtime/column_batch.h): reduceByKey combines through a
-  /// typed accumulator with native int64/double arithmetic and cached
-  /// key hashes, shuffle scatters hash whole key columns at once
-  /// (string keys hash once per distinct dictionary entry), Reduce over
-  /// a built-in operator folds natively, and fully-kernelized fused
-  /// chains execute as column batches. Rows that don't columnarize
-  /// (heterogeneous kinds, non-scalar keys, closure-only operators)
-  /// fall back to the boxed per-row path mid-stream — results are
-  /// byte-identical either way (tests/columnar_test.cc), and
-  /// StageStats::columnar_batches / columnar_rows_fallback make the
-  /// split observable. False restores the pure boxed engine, kept as
-  /// the AB9 ablation baseline. Building with
-  /// -DDIABLO_NO_COLUMNAR_DEFAULT flips the default off (the CI
-  /// boxed-matrix legs).
-#ifdef DIABLO_NO_COLUMNAR_DEFAULT
-  bool columnar = false;
-#else
-  bool columnar = true;
-#endif
-  /// Runtime skew mitigation thresholds (see SkewConfig above). On by
-  /// default; outputs are byte-identical with or without it
-  /// (tests/skew_test.cc), only wall-clock and task accounting change.
+  /// Runtime skew mitigation threshold (see SkewConfig above). Outputs
+  /// are byte-identical whether or not a task salts (tests/skew_test.cc);
+  /// only wall-clock and task accounting change.
   SkewConfig skew;
   /// Deterministic fault injection and recovery policy (runtime/fault.h).
   /// Off by default: with no fault class enabled the engine skips all
@@ -109,8 +91,7 @@ struct EngineConfig {
   /// TraceRecorder reachable via Engine::trace() — see runtime/trace.h
   /// and DESIGN.md §13. Tracing never changes stage numbering, fault
   /// coordinates, or any program output byte (asserted in trace_test).
-  /// False makes every hook a single null-pointer test; defining
-  /// DIABLO_DISABLE_TRACING compiles the hooks out entirely.
+  /// False makes every hook a single null-pointer test.
   bool tracing = true;
   /// When set, every task wave executes on this remote backend (the
   /// multi-process coordinator of src/dist/) instead of in-process
@@ -233,15 +214,8 @@ class Engine {
   const Metrics& metrics() const { return metrics_; }
 
   /// The engine's trace recorder, or null when tracing is off — the
-  /// null test IS the tracing-off fast path, and every trace hook in
-  /// the engine folds away when DIABLO_DISABLE_TRACING is defined.
-  TraceRecorder* trace() const {
-#ifdef DIABLO_DISABLE_TRACING
-    return nullptr;
-#else
-    return trace_.get();
-#endif
-  }
+  /// null test IS the tracing-off fast path.
+  TraceRecorder* trace() const { return trace_.get(); }
 
   /// Installs the source provenance stamped into subsequently finished
   /// stages, returning the previous value so callers can nest scopes
@@ -314,7 +288,7 @@ class Engine {
   /// against a constant. Semantically identical to the closure forms —
   /// EvalBinOp defines the result — but the op is visible to the engine,
   /// so a fully-kernelized fused chain executes vectorized over column
-  /// batches under EngineConfig::columnar.
+  /// batches.
   StatusOr<Dataset> Map(const Dataset& in, BinOp op, const Value& operand,
                         const std::string& label = "map");
   StatusOr<Dataset> MapValues(const Dataset& in, BinOp op,
@@ -346,12 +320,12 @@ class Engine {
   /// combine before shuffling, like Spark's reduceByKey.
   StatusOr<Dataset> ReduceByKey(const Dataset& in, const ReduceFn& fn,
                                 const std::string& label = "reduceByKey");
-  /// ReduceByKey with a built-in commutative operator. Under
-  /// EngineConfig::columnar the combine and reduce sides run through the
-  /// typed accumulator when the op and the observed key/value kinds
-  /// allow it; `schema` is the plan-time hint (kUnknown fields mean
-  /// "detect from the data") that lets the engine skip the typed attempt
-  /// when the planner already knows the value type can't columnarize.
+  /// ReduceByKey with a built-in commutative operator. The combine and
+  /// reduce sides run through the typed accumulator when the op and the
+  /// observed key/value kinds allow it; `schema` is the plan-time hint
+  /// (kUnknown fields mean "detect from the data") that lets the engine
+  /// skip the typed attempt when the planner already knows the value
+  /// type can't columnarize.
   StatusOr<Dataset> ReduceByKey(const Dataset& in, BinOp op,
                                 const std::string& label = "reduceByKey",
                                 const ColumnSchema& schema = ColumnSchema());
@@ -389,7 +363,7 @@ class Engine {
                                         const std::string& label = "reduce");
   /// Reduce with a built-in operator: per-partition partials fold with
   /// native int64/double arithmetic (same arrival order, bit-identical
-  /// results) under EngineConfig::columnar.
+  /// results) while the partials stay typed.
   StatusOr<std::optional<Value>> Reduce(const Dataset& in, BinOp op,
                                         const std::string& label = "reduce");
 
@@ -493,14 +467,14 @@ class Engine {
       const std::vector<TypedRows>& in, int stage, int64_t* shuffle_bytes,
       StageRecovery* rec, StageStats* stats);
 
-  /// Force's columnar wave (EngineConfig::columnar): runs `src`'s
-  /// fully-kernelized fused chain as column batches — one unbox per
-  /// source row, each kernel a vector loop over the typed payload, one
-  /// re-box per surviving row — into `out`. A partition whose rows don't
-  /// columnarize replays the boxed per-row chain (byte-identical by
-  /// construction) and is counted in StageStats::columnar_rows_fallback.
-  /// Under the distributed backend the batches themselves cross the wire
-  /// (wave_io col_batches slot); the driver re-boxes after the wave.
+  /// Force's columnar wave: runs `src`'s fully-kernelized fused chain as
+  /// column batches — one unbox per source row, each kernel a vector
+  /// loop over the typed payload, one re-box per surviving row — into
+  /// `out`. A partition whose rows don't columnarize replays the boxed
+  /// per-row chain (byte-identical by construction) and is counted in
+  /// StageStats::columnar_rows_fallback. Under the distributed backend
+  /// the batches themselves cross the wire (wave_io col_batches slot);
+  /// the driver re-boxes after the wave.
   Status ForceColumnar(const Dataset& src, const std::string& label,
                        int stage, std::vector<ValueVec>* out,
                        std::vector<ChainTally>* tallies, StageRecovery* rec);

@@ -54,14 +54,14 @@ struct StageStats {
   /// (0 when host_threads <= 1 or the waves were too small to
   /// parallelize).
   int64_t pool_tasks = 0;
-  /// Columnar-execution accounting (runtime/column_batch.h, under
-  /// EngineConfig::columnar). `columnar_batches` counts partition
+  /// Columnar-execution accounting (runtime/column_batch.h).
+  /// `columnar_batches` counts partition
   /// batches this stage executed through a typed columnar fast path
   /// (typed reduceByKey combine/reduce, vectorized scatter key hashing,
   /// kernelized fused chains); `columnar_rows_fallback` counts rows that
   /// bounced back to the boxed per-row path mid-stage (heterogeneous
-  /// kinds, non-scalar keys, uncovered operators). Both 0 when columnar
-  /// execution is off.
+  /// kinds, non-scalar keys, uncovered operators). Both 0 for a stage
+  /// with no typed fast path (joins, cogroups, closure-only operators).
   int64_t columnar_batches = 0;
   int64_t columnar_rows_fallback = 0;
   /// Multi-process distributed backend accounting (src/dist/). Tasks
@@ -76,10 +76,10 @@ struct StageStats {
   /// EngineConfig::skew). `salted_keys` counts distinct keys whose rows
   /// were folded in more than one salted sub-task and re-merged by the
   /// un-salt stage; `salt_fanout` counts the extra sub-tasks skew
-  /// mitigation created beyond the unmitigated task count;
+  /// mitigation created beyond the unsalted task count;
   /// `cost_decisions` counts plan/engine decisions (broadcast-vs-hash
   /// join, partition count) that consulted a `--profile-in` prior-run
-  /// profile. All 0 when mitigation never triggered and no profile was
+  /// profile. All 0 when no task salted and no profile was
   /// supplied.
   int64_t salted_keys = 0;
   int64_t salt_fanout = 0;

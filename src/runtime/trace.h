@@ -17,8 +17,7 @@
 // loop statement it was translated from.
 //
 // Tracing is controlled by EngineConfig::tracing (default on; the off
-// path is a null-pointer check per hook). Defining
-// DIABLO_DISABLE_TRACING compiles every engine hook out entirely.
+// path is a null-pointer check per hook).
 //
 // Exports:
 //   WriteChromeTrace    Chrome trace_event JSON (chrome://tracing,

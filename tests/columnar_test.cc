@@ -1,11 +1,12 @@
-// Columnar execution property tests (EngineConfig::columnar).
+// Columnar execution property tests.
 //
 // The columnar fast paths — batch kernels over fused chains, the
 // vectorized shuffle scatter, the typed reduceByKey combine and the
 // typed scalar fold — carry one contract: byte-identical results to the
-// boxed per-row engine for every workload, partition count, host thread
-// count, fault schedule and distributed chaos kill. Rows the typed paths cannot represent must spill to boxed
-// mid-stream without consuming or reordering anything.
+// boxed per-row semantics for every workload, partition count, host
+// thread count, fault schedule and distributed chaos kill. Rows the
+// typed paths cannot represent must spill to boxed mid-stream without
+// consuming or reordering anything.
 
 #include "runtime/column_batch.h"
 
@@ -22,6 +23,8 @@
 #include "runtime/keyed_accumulator.h"
 #include "runtime/operators.h"
 #include "runtime/serialize.h"
+#include "tests/engine_workloads.h"
+#include "tests/seq_oracle.h"
 
 namespace diablo::runtime {
 namespace {
@@ -348,68 +351,10 @@ TEST(TypedFoldTest, NonNumericRowSpillsWithoutConsuming) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level property: columnar execution is byte-identical to boxed.
-
-StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words) {
-  Dataset ds = engine.Parallelize(words);
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset pairs, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return Value::MakePair(v, I(1));
-      }));
-  DIABLO_ASSIGN_OR_RETURN(Dataset counts,
-                          engine.ReduceByKey(pairs, BinOp::kAdd));
-  return engine.Collect(counts);
-}
-
-StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
-  Dataset links = engine.Parallelize(edges);
-  DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset ranks,
-      engine.MapValues(grouped,
-                       [](const Value&) -> StatusOr<Value> { return D(1.0); }));
-  for (int iter = 0; iter < 2; ++iter) {
-    DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(grouped, ranks));
-    DIABLO_ASSIGN_OR_RETURN(
-        Dataset contribs,
-        engine.FlatMap(joined, [](const Value& v) -> StatusOr<ValueVec> {
-          const ValueVec& outs = v.tuple()[1].tuple()[0].bag();
-          const double rank = v.tuple()[1].tuple()[1].AsDouble();
-          ValueVec out;
-          out.reserve(outs.size());
-          for (const Value& dst : outs) {
-            out.push_back(Value::MakePair(
-                dst, D(rank / static_cast<double>(outs.size()))));
-          }
-          return out;
-        }));
-    DIABLO_ASSIGN_OR_RETURN(Dataset summed,
-                            engine.ReduceByKey(contribs, BinOp::kAdd));
-    DIABLO_ASSIGN_OR_RETURN(
-        ranks, engine.MapValues(summed, [](const Value& v) -> StatusOr<Value> {
-          return D(0.15 + 0.85 * v.AsDouble());
-        }));
-  }
-  return engine.Collect(ranks);
-}
-
-StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
-  Dataset ds = engine.Parallelize(rows);
-  DIABLO_ASSIGN_OR_RETURN(Dataset sums, engine.ReduceByKey(ds, BinOp::kAdd));
-  DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(ds, sums));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(joined));
-  DIABLO_ASSIGN_OR_RETURN(Dataset cg, engine.CoGroup(ds, sums));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec cg_rows, engine.Collect(cg));
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset keys, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return v.tuple()[0];
-      }));
-  DIABLO_ASSIGN_OR_RETURN(Dataset uniq, engine.Distinct(keys));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec uniq_rows, engine.Collect(uniq));
-  out.insert(out.end(), cg_rows.begin(), cg_rows.end());
-  out.insert(out.end(), uniq_rows.begin(), uniq_rows.end());
-  return out;
-}
+// Engine-level property: the typed fast paths are byte-identical to the
+// boxed per-row semantics, which the sequential oracles spell out with
+// plain loops (tests/engine_workloads.h, tests/seq_oracle.h). The
+// workloads are the three shared ones plus KernelChains below.
 
 /// Fully-kernelized fused chains plus typed shuffle/reduce: the
 /// workload that drives every columnar fast path at once. Input rows
@@ -445,75 +390,82 @@ StatusOr<ValueVec> KernelChains(Engine& engine, const ValueVec& rows) {
   return out;
 }
 
+/// KernelChains' oracle: both chains applied row by row to each
+/// Parallelize chunk (a Force keeps the chunks as its partitions).
+ValueVec KernelChainsOracle(const ValueVec& rows, int parts) {
+  std::vector<ValueVec> paired = oracle::Chunks(rows, parts);
+  std::vector<ValueVec> scaled = paired;
+  for (ValueVec& chunk : paired) {
+    ValueVec kept;
+    for (const Value& row : chunk) {
+      const Value v = oracle::Apply(BinOp::kMul, row.tuple()[1], D(2.0));
+      if (!oracle::Apply(BinOp::kLt, v, D(60.0)).AsBool()) continue;
+      kept.push_back(Value::MakePair(
+          row.tuple()[0], oracle::Apply(BinOp::kAdd, v, D(1.0))));
+    }
+    chunk = std::move(kept);
+  }
+  for (ValueVec& chunk : scaled) {
+    ValueVec kept;
+    for (const Value& row : chunk) {
+      const Value v = oracle::Apply(BinOp::kMul, row.tuple()[0], I(3));
+      if (!oracle::Apply(BinOp::kNe, v, I(12)).AsBool()) continue;
+      kept.push_back(oracle::Apply(BinOp::kAdd, v, I(100)));
+    }
+    chunk = std::move(kept);
+  }
+  ValueVec out = oracle::Concat(paired);
+  const ValueVec sums =
+      oracle::PairLayout(oracle::ReduceByKey(paired, BinOp::kAdd), parts);
+  const ValueVec scaled_rows = oracle::Concat(scaled);
+  out.insert(out.end(), sums.begin(), sums.end());
+  out.insert(out.end(), scaled_rows.begin(), scaled_rows.end());
+  if (auto total = oracle::Reduce(scaled, BinOp::kAdd)) out.push_back(*total);
+  return out;
+}
+
+/// Workload index of KernelChains, after the shared workloads.
+constexpr int kKernelChains = workloads::kNumWorkloads;
+
 StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
                                const ValueVec& rows) {
-  switch (which) {
-    case 0:
-      return WordCount(engine, rows);
-    case 1:
-      return PageRankIters(engine, rows);
-    case 2:
-      return RelationalMix(engine, rows);
-    default:
-      return KernelChains(engine, rows);
-  }
+  if (which == kKernelChains) return KernelChains(engine, rows);
+  return workloads::RunWorkload(engine, which, rows);
+}
+
+ValueVec WorkloadOracle(int which, const ValueVec& rows, int parts) {
+  if (which == kKernelChains) return KernelChainsOracle(rows, parts);
+  return workloads::WorkloadOracle(which, rows, parts);
 }
 
 ValueVec WorkloadInput(int which, std::mt19937_64& rng) {
+  if (which != kKernelChains) return workloads::WorkloadInput(which, rng);
   ValueVec rows;
-  if (which == 0) {
-    const int n = 200 + static_cast<int>(rng() % 300);
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(S("word" + std::to_string(rng() % 37)));
-    }
-  } else if (which == 1) {
-    const int nodes = 20 + static_cast<int>(rng() % 20);
-    const int edges = 150 + static_cast<int>(rng() % 150);
-    for (int i = 0; i < edges; ++i) {
-      rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % nodes)),
-                                     I(static_cast<int64_t>(rng() % nodes))));
-    }
-  } else if (which == 2) {
-    const int n = 150 + static_cast<int>(rng() % 250);
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(Value::MakePair(
-          I(static_cast<int64_t>(rng() % 23)),
-          D(static_cast<double>(rng() % 1000) / 7.0 - 50.0)));
-    }
-  } else {
-    const int n = 200 + static_cast<int>(rng() % 200);
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(Value::MakePair(
-          I(static_cast<int64_t>(rng() % 17)),
-          D(static_cast<double>(rng() % 500) / 8.0 - 20.0)));
-    }
+  const int n = 200 + static_cast<int>(rng() % 200);
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(
+        Value::MakePair(I(static_cast<int64_t>(rng() % 17)),
+                        D(static_cast<double>(rng() % 500) / 8.0 - 20.0)));
   }
   return rows;
 }
 
 TEST(ColumnarProperty, ColumnarMatchesBoxedByteForByte) {
-  for (int which = 0; which < 4; ++which) {
+  for (int which = 0; which <= kKernelChains; ++which) {
     for (uint64_t seed = 0; seed < 4; ++seed) {
       std::mt19937_64 rng(seed * 7919 + which + 1);
       ValueVec rows = WorkloadInput(which, rng);
       const int parts = 1 + static_cast<int>(rng() % 12);
+      const ValueVec want = WorkloadOracle(which, rows, parts);
       for (int host_threads : {1, 4}) {
-        EngineConfig col_config;
-        col_config.num_partitions = parts;
-        col_config.host_threads = host_threads;
-        col_config.columnar = true;
-        EngineConfig boxed_config = col_config;
-        boxed_config.columnar = false;
-
-        Engine columnar(col_config), boxed(boxed_config);
-        auto col_out = RunWorkload(columnar, which, rows);
-        auto boxed_out = RunWorkload(boxed, which, rows);
-        ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
-        ASSERT_TRUE(boxed_out.ok()) << boxed_out.status().ToString();
-        EXPECT_EQ(*col_out, *boxed_out)
-            << "workload " << which << " seed " << seed << " threads "
-            << host_threads;
-        EXPECT_EQ(boxed.metrics().total_columnar_batches(), 0);
+        EngineConfig config;
+        config.num_partitions = parts;
+        config.host_threads = host_threads;
+        Engine engine(config);
+        auto out = RunWorkload(engine, which, rows);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        EXPECT_EQ(*out, want) << "workload " << which << " seed " << seed
+                              << " threads " << host_threads;
       }
     }
   }
@@ -521,12 +473,11 @@ TEST(ColumnarProperty, ColumnarMatchesBoxedByteForByte) {
 
 TEST(ColumnarProperty, CountersReportTypedExecution) {
   std::mt19937_64 rng(2026);
-  ValueVec rows = WorkloadInput(/*which=*/3, rng);
+  ValueVec rows = WorkloadInput(kKernelChains, rng);
   EngineConfig config;
-  config.columnar = true;
   config.host_threads = 2;
   Engine engine(config);
-  auto out = RunWorkload(engine, 3, rows);
+  auto out = RunWorkload(engine, kKernelChains, rows);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // Fused chains, shuffle scatters, typed combines and the typed fold
   // all count batches; nothing in this workload needs to fall back.
@@ -534,10 +485,13 @@ TEST(ColumnarProperty, CountersReportTypedExecution) {
   EXPECT_EQ(engine.metrics().total_columnar_rows_fallback(), 0);
 }
 
+// The boxed legs of the typed fast paths: data that does not columnarize
+// must reach each fallback (counted in columnar_rows_fallback) and still
+// produce the oracle's bytes.
+
 TEST(ColumnarProperty, HeterogeneousRowsFallBackAndStayIdentical) {
-  // Mixed int/double values demote the batch column to boxed: the fused
-  // chain must replay per-row (counted as fallback) and still match the
-  // boxed engine exactly.
+  // Mixed int/double values demote the batch column of the kernelized
+  // fused chain to boxed mid-stream: the chain must replay per-row.
   ValueVec rows;
   std::mt19937_64 rng(31);
   for (int i = 0; i < 300; ++i) {
@@ -545,49 +499,100 @@ TEST(ColumnarProperty, HeterogeneousRowsFallBackAndStayIdentical) {
                                : D(static_cast<double>(rng() % 50) * 0.5);
     rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % 7)), v));
   }
-  auto run = [&](bool columnar) {
-    EngineConfig config;
-    config.columnar = columnar;
-    Engine engine(config);
-    auto a = engine.MapValues(engine.Parallelize(rows), BinOp::kMul, D(2.0));
-    EXPECT_TRUE(a.ok());
-    auto b = engine.FilterValues(*a, BinOp::kGe, D(3.0));
-    EXPECT_TRUE(b.ok());
-    auto forced = engine.Force(*b);
-    EXPECT_TRUE(forced.ok());
-    auto out = engine.Collect(*forced);
-    EXPECT_TRUE(out.ok());
-    return std::make_pair(out.ok() ? *out : ValueVec{},
-                          engine.metrics().total_columnar_rows_fallback());
-  };
-  auto [col_out, col_fallback] = run(true);
-  auto [boxed_out, boxed_fallback] = run(false);
-  ASSERT_FALSE(col_out.empty());
-  EXPECT_EQ(col_out, boxed_out);
-  EXPECT_GT(col_fallback, 0);
-  EXPECT_EQ(boxed_fallback, 0);
+  ValueVec want;
+  for (const Value& row : rows) {
+    const Value v = oracle::Apply(BinOp::kMul, row.tuple()[1], D(2.0));
+    if (oracle::Apply(BinOp::kGe, v, D(3.0)).AsBool()) {
+      want.push_back(Value::MakePair(row.tuple()[0], v));
+    }
+  }
+  Engine engine;
+  auto a = engine.MapValues(engine.Parallelize(rows), BinOp::kMul, D(2.0));
+  ASSERT_TRUE(a.ok());
+  auto b = engine.FilterValues(*a, BinOp::kGe, D(3.0));
+  ASSERT_TRUE(b.ok());
+  auto forced = engine.Force(*b);
+  ASSERT_TRUE(forced.ok());
+  auto out = engine.Collect(*forced);
+  ASSERT_TRUE(out.ok());
+  ASSERT_FALSE(out->empty());
+  EXPECT_EQ(*out, want);
+  EXPECT_GT(engine.metrics().total_columnar_rows_fallback(), 0);
+}
+
+TEST(ColumnarProperty, TupleKeyScatterFallsBackToBoxedHashing) {
+  // Each partition starts with int keys and turns to (int, int) tuple
+  // keys: the vectorized scatter's key column demotes to boxed and
+  // hashes row by row, with every row still in its hash partition.
+  ValueVec rows;
+  for (int64_t i = 0; i < 400; ++i) {
+    const Value key = i % 50 < 20 ? I(i % 13)
+                                  : Value::MakeTuple({I(i % 5), I(i % 3)});
+    rows.push_back(Value::MakePair(key, I(i)));
+  }
+  Engine engine;
+  const int parts = engine.config().num_partitions;
+  auto grouped = engine.GroupByKey(engine.Parallelize(rows));
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  auto out = engine.Collect(*grouped);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, oracle::BagLayout(oracle::GroupByKey(rows), parts));
+  EXPECT_GT(engine.metrics().total_columnar_rows_fallback(), 0);
+}
+
+TEST(ColumnarProperty, TypedCombineSpillsOnStringPayload) {
+  // Int payloads first, then string payloads on other keys: the typed
+  // combine accumulator spills to the boxed one mid-partition, and the
+  // string concatenations keep their arrival order.
+  ValueVec rows;
+  for (int64_t i = 0; i < 480; ++i) {
+    rows.push_back(i % 60 < 40
+                       ? Value::MakePair(I(i % 9), I(i))
+                       : Value::MakePair(I(100 + i % 4),
+                                         S(StrCat("s", i))));
+  }
+  Engine engine;
+  const int parts = engine.config().num_partitions;
+  auto sums = engine.ReduceByKey(engine.Parallelize(rows), BinOp::kAdd);
+  ASSERT_TRUE(sums.ok()) << sums.status().ToString();
+  auto out = engine.Collect(*sums);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out,
+            oracle::PairLayout(
+                oracle::ReduceByKey(oracle::Chunks(rows, parts), BinOp::kAdd),
+                parts));
+  EXPECT_GT(engine.metrics().total_columnar_rows_fallback(), 0);
+}
+
+TEST(ColumnarProperty, TypedFoldSpillsOnTupleRows) {
+  // (sum, count) tuples — the K-means average monoid — are no typed
+  // numeric kind: every partition's fold spills and folds elementwise
+  // through the boxed operator.
+  ValueVec rows;
+  for (int64_t i = 0; i < 300; ++i) {
+    rows.push_back(Value::MakeTuple({D(0.25 * static_cast<double>(i)), I(1)}));
+  }
+  Engine engine;
+  const int parts = engine.config().num_partitions;
+  auto total = engine.Reduce(engine.Parallelize(rows), BinOp::kAdd);
+  ASSERT_TRUE(total.ok()) << total.status().ToString();
+  EXPECT_EQ(*total, oracle::Reduce(oracle::Chunks(rows, parts), BinOp::kAdd));
+  EXPECT_GT(engine.metrics().total_columnar_rows_fallback(), 0);
 }
 
 TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
   // Fault schedules key off (stage id, partition, attempt, row index) —
   // coordinates the execution strategy does not change — so injected
-  // task failures and shuffle corruption hit the columnar engine at the
-  // same points and must never produce a divergent answer.
-  // serialize_shuffles drives every shuffled row (and every columnar
-  // batch tally) through the wire codec.
-  for (int which = 0; which < 4; ++which) {
+  // task failures and shuffle corruption must never produce an answer
+  // other than the fault-free oracle's. serialize_shuffles drives every
+  // shuffled row (and every columnar batch tally) through the wire
+  // codec.
+  for (int which = 0; which <= kKernelChains; ++which) {
     for (uint64_t seed = 0; seed < 3; ++seed) {
       std::mt19937_64 rng(seed * 2741 + which + 11);
       ValueVec rows = WorkloadInput(which, rng);
 
-      EngineConfig clean_config;
-      clean_config.columnar = false;
-      Engine clean(clean_config);
-      auto expected = RunWorkload(clean, which, rows);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
       EngineConfig faulty_config;
-      faulty_config.columnar = true;
       faulty_config.host_threads = 4;
       faulty_config.faults.seed = seed + 17;
       faulty_config.faults.task_failure_rate = 0.08;
@@ -597,7 +602,8 @@ TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
       Engine faulty(faulty_config);
       auto got = RunWorkload(faulty, which, rows);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *expected)
+      EXPECT_EQ(*got,
+                WorkloadOracle(which, rows, faulty_config.num_partitions))
           << "workload " << which << " seed " << seed;
     }
   }
@@ -607,26 +613,21 @@ TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
   // Deterministic lost-partition directives drive the recompute_many
   // closures behind every columnar stage — including the boxed replay
   // closure the columnar Force registers — and the rebuilt partitions
-  // must be byte-identical to both the clean columnar and the clean
-  // boxed run.
+  // must be byte-identical to the oracle.
   std::mt19937_64 rng(4242);
-  ValueVec rows = WorkloadInput(/*which=*/3, rng);
-  EngineConfig boxed_config;
-  boxed_config.columnar = false;
-  Engine boxed(boxed_config);
-  auto expected = RunWorkload(boxed, 3, rows);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ValueVec rows = WorkloadInput(kKernelChains, rng);
+  const ValueVec expected =
+      WorkloadOracle(kKernelChains, rows, EngineConfig().num_partitions);
 
   int64_t fired = 0;
   for (int stage = 0; stage < 8; ++stage) {
     EngineConfig config;
-    config.columnar = true;
     config.faults.lose_partitions.push_back({stage, 2, 0});
     Engine engine(config);
-    auto got = RunWorkload(engine, 3, rows);
+    auto got = RunWorkload(engine, kKernelChains, rows);
     ASSERT_TRUE(got.ok()) << "stage " << stage << ": "
                           << got.status().ToString();
-    EXPECT_EQ(*got, *expected) << "stage " << stage;
+    EXPECT_EQ(*got, expected) << "stage " << stage;
     fired += engine.metrics().total_recomputed_partitions();
   }
   EXPECT_GE(fired, 3);
@@ -634,7 +635,7 @@ TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
 
 // ---------------------------------------------------------------------
 // Distributed: columnar batches genuinely cross the wire, survive real
-// worker kills, and still match the boxed single-process engine.
+// worker kills, and still match the oracle.
 
 std::string Bytes(const ValueVec& rows) {
   std::string out;
@@ -644,25 +645,20 @@ std::string Bytes(const ValueVec& rows) {
 
 TEST(ColumnarDistTest, ColumnarOverWorkersMatchesBoxedLocal) {
   std::mt19937_64 rng(606);
-  ValueVec rows = WorkloadInput(/*which=*/3, rng);
-  EngineConfig boxed_config;
-  boxed_config.columnar = false;
-  Engine local(boxed_config);
-  auto expected = RunWorkload(local, 3, rows);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ValueVec rows = WorkloadInput(kKernelChains, rng);
 
   dist::DistConfig dist_config;
   dist_config.num_workers = 2;
   dist_config.heartbeat_ms = 50;
   dist::Coordinator coordinator(dist_config);
   EngineConfig config;
-  config.columnar = true;
   config.remote = &coordinator;
   config.dist_lose_on_kill = true;
   Engine dist(config);
-  auto got = RunWorkload(dist, 3, rows);
+  auto got = RunWorkload(dist, kKernelChains, rows);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  EXPECT_EQ(Bytes(*got), Bytes(WorkloadOracle(kKernelChains, rows,
+                                               config.num_partitions)));
   EXPECT_GT(dist.metrics().total_dist_tasks(), 0);
   // The batch tallies made the round trip from the forked workers.
   EXPECT_GT(dist.metrics().total_columnar_batches(), 0);
@@ -670,12 +666,7 @@ TEST(ColumnarDistTest, ColumnarOverWorkersMatchesBoxedLocal) {
 
 TEST(ColumnarDistTest, SurvivesChaosKillsWithIdenticalOutput) {
   std::mt19937_64 rng(607);
-  ValueVec rows = WorkloadInput(/*which=*/3, rng);
-  EngineConfig boxed_config;
-  boxed_config.columnar = false;
-  Engine local(boxed_config);
-  auto expected = RunWorkload(local, 3, rows);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ValueVec rows = WorkloadInput(kKernelChains, rng);
 
   // Two SIGKILLs mid-wave: redistribute, re-dispatch and lineage
   // recovery all replay columnar stages on the survivors.
@@ -686,13 +677,13 @@ TEST(ColumnarDistTest, SurvivesChaosKillsWithIdenticalOutput) {
   dist_config.chaos.kills.push_back({/*stage=*/4, /*worker=*/1, 1});
   dist::Coordinator coordinator(dist_config);
   EngineConfig config;
-  config.columnar = true;
   config.remote = &coordinator;
   config.dist_lose_on_kill = true;
   Engine dist(config);
-  auto got = RunWorkload(dist, 3, rows);
+  auto got = RunWorkload(dist, kKernelChains, rows);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  EXPECT_EQ(Bytes(*got), Bytes(WorkloadOracle(kKernelChains, rows,
+                                               config.num_partitions)));
   EXPECT_EQ(coordinator.chaos_kills(), 2);
   EXPECT_GE(dist.metrics().total_dist_workers_lost(), 2);
 }

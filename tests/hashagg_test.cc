@@ -23,6 +23,7 @@
 #include "runtime/fault.h"
 #include "runtime/keyed_accumulator.h"
 #include "runtime/worker_pool.h"
+#include "tests/engine_workloads.h"
 #include "tests/seq_oracle.h"
 
 namespace diablo::runtime {
@@ -152,192 +153,20 @@ TEST(WorkerPool, EmptyAndUndersizedWaves) {
 // Engine-level property: hash aggregation matches the sequential
 // ordered-map oracle across workloads and engine configurations.
 
-// Word count: (word, 1) pairs reduced by key. String keys stress
-// hashing/compare asymmetry.
-StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words) {
-  Dataset ds = engine.Parallelize(words);
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset pairs, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return Value::MakePair(v, I(1));
-      }));
-  DIABLO_ASSIGN_OR_RETURN(Dataset counts,
-                          engine.ReduceByKey(pairs, BinOp::kAdd));
-  return engine.Collect(counts);
-}
+// The three shared workloads (tests/engine_workloads.h), each checked
+// against its sequential oracle byte for byte.
+using workloads::RunWorkload;
+using workloads::WorkloadInput;
 
-// PageRank-flavoured: two iterations of join(ranks, links) →
-// contributions → reduceByKey over doubles.
-StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
-  Dataset links = engine.Parallelize(edges);
-  DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset ranks,
-      engine.MapValues(grouped,
-                       [](const Value&) -> StatusOr<Value> { return D(1.0); }));
-  for (int iter = 0; iter < 2; ++iter) {
-    DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(grouped, ranks));
-    DIABLO_ASSIGN_OR_RETURN(
-        Dataset contribs,
-        engine.FlatMap(joined, [](const Value& v) -> StatusOr<ValueVec> {
-          const ValueVec& outs = v.tuple()[1].tuple()[0].bag();
-          const double rank = v.tuple()[1].tuple()[1].AsDouble();
-          ValueVec out;
-          out.reserve(outs.size());
-          for (const Value& dst : outs) {
-            out.push_back(Value::MakePair(
-                dst, D(rank / static_cast<double>(outs.size()))));
-          }
-          return out;
-        }));
-    DIABLO_ASSIGN_OR_RETURN(Dataset summed,
-                            engine.ReduceByKey(contribs, BinOp::kAdd));
-    DIABLO_ASSIGN_OR_RETURN(
-        ranks, engine.MapValues(summed, [](const Value& v) -> StatusOr<Value> {
-          return D(0.15 + 0.85 * v.AsDouble());
-        }));
-  }
-  return engine.Collect(ranks);
-}
-
-// Join + coGroup + distinct over the same keyed rows, concatenated.
-StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
-  Dataset ds = engine.Parallelize(rows);
-  DIABLO_ASSIGN_OR_RETURN(Dataset sums, engine.ReduceByKey(ds, BinOp::kAdd));
-  DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(ds, sums));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(joined));
-  DIABLO_ASSIGN_OR_RETURN(Dataset cg, engine.CoGroup(ds, sums));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec cg_rows, engine.Collect(cg));
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset keys, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return v.tuple()[0];
-      }));
-  DIABLO_ASSIGN_OR_RETURN(Dataset uniq, engine.Distinct(keys));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec uniq_rows, engine.Collect(uniq));
-  out.insert(out.end(), cg_rows.begin(), cg_rows.end());
-  out.insert(out.end(), uniq_rows.begin(), uniq_rows.end());
-  return out;
-}
-
-// The sequential oracles of the three workloads (tests/seq_oracle.h).
-// Integer and string results match the engine exactly. The PageRankIters
-// oracle sums each node's contributions in source-key order rather than
-// the engine's partition arrival order, so that workload is compared
-// within kPageRankRelTol.
-constexpr double kPageRankRelTol = 1e-12;
-
-ValueVec WordCountOracle(const ValueVec& words, int parts) {
-  std::map<Value, Value> counts;
-  for (const Value& w : words) {
-    auto [it, inserted] = counts.emplace(w, I(1));
-    if (!inserted) it->second = I(it->second.AsInt() + 1);
-  }
-  return oracle::PairLayout(counts, parts);
-}
-
-ValueVec PageRankItersOracle(const ValueVec& edges, int parts) {
-  const std::map<Value, ValueVec> links = oracle::GroupByKey(edges);
-  std::map<Value, double> ranks;
-  for (const auto& [src, outs] : links) ranks[src] = 1.0;
-  for (int iter = 0; iter < 2; ++iter) {
-    std::map<Value, double> sums;
-    for (const auto& [src, outs] : links) {
-      auto rank = ranks.find(src);
-      if (rank == ranks.end()) continue;
-      for (const Value& dst : outs) {
-        sums[dst] += rank->second / static_cast<double>(outs.size());
-      }
-    }
-    ranks.clear();
-    for (const auto& [dst, sum] : sums) ranks[dst] = 0.15 + 0.85 * sum;
-  }
-  return oracle::HashLayout(ranks, parts, [](const Value& k, double r) {
-    return Value::MakePair(k, D(r));
-  });
-}
-
-ValueVec RelationalMixOracle(const ValueVec& rows, int parts) {
-  const std::map<Value, Value> sums =
-      oracle::ReduceByKey(oracle::Chunks(rows, parts), BinOp::kAdd);
-  const std::map<Value, ValueVec> left = oracle::GroupByKey(rows);
-  ValueVec out = oracle::JoinLayout(left, sums, parts);
-  // CoGroup: (key, (Bag of left values, Bag of the one sum)).
-  ValueVec cg = oracle::HashLayout(
-      sums, parts, [&](const Value& k, const Value& sum) {
-        return Value::MakePair(k, Value::MakePair(Value::MakeBag(left.at(k)),
-                                                  Value::MakeBag({sum})));
-      });
-  // Distinct keys, each a row of its own.
-  ValueVec uniq = oracle::HashLayout(
-      left, parts, [](const Value& k, const ValueVec&) { return k; });
-  out.insert(out.end(), cg.begin(), cg.end());
-  out.insert(out.end(), uniq.begin(), uniq.end());
-  return out;
-}
-
-ValueVec WorkloadOracle(int which, const ValueVec& rows, int parts) {
-  switch (which) {
-    case 0:
-      return WordCountOracle(rows, parts);
-    case 1:
-      return PageRankItersOracle(rows, parts);
-    default:
-      return RelationalMixOracle(rows, parts);
-  }
-}
-
-/// Checks one engine run of workload `which` against its oracle:
-/// exactly, or within kPageRankRelTol for PageRankIters.
 void ExpectMatchesOracle(int which, const ValueVec& rows, int parts,
                          const ValueVec& got) {
-  const ValueVec want = WorkloadOracle(which, rows, parts);
-  if (which == 1) {
-    EXPECT_TRUE(oracle::RowsNearlyEqual(got, want, kPageRankRelTol));
-  } else {
-    EXPECT_EQ(got, want);
-  }
-}
-
-StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
-                               const ValueVec& rows) {
-  switch (which) {
-    case 0:
-      return WordCount(engine, rows);
-    case 1:
-      return PageRankIters(engine, rows);
-    default:
-      return RelationalMix(engine, rows);
-  }
-}
-
-ValueVec WorkloadInput(int which, std::mt19937_64& rng) {
-  ValueVec rows;
-  if (which == 0) {
-    const int n = 200 + static_cast<int>(rng() % 300);
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(S("word" + std::to_string(rng() % 37)));
-    }
-  } else if (which == 1) {
-    const int nodes = 20 + static_cast<int>(rng() % 20);
-    const int edges = 150 + static_cast<int>(rng() % 150);
-    for (int i = 0; i < edges; ++i) {
-      rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % nodes)),
-                                     I(static_cast<int64_t>(rng() % nodes))));
-    }
-  } else {
-    const int n = 150 + static_cast<int>(rng() % 250);
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(Value::MakePair(
-          I(static_cast<int64_t>(rng() % 23)),
-          D(static_cast<double>(rng() % 1000) / 7.0 - 50.0)));
-    }
-  }
-  return rows;
+  EXPECT_EQ(got, workloads::WorkloadOracle(which, rows, parts));
 }
 
 TEST(HashAggProperty, HashMatchesOrderedByteForByte) {
   // The ordered side is the sequential std::map oracle; the runs at 1
   // and 4 host threads must also agree with each other byte for byte.
-  for (int which = 0; which < 3; ++which) {
+  for (int which = 0; which < workloads::kNumWorkloads; ++which) {
     for (uint64_t seed = 0; seed < 6; ++seed) {
       std::mt19937_64 rng(seed * 6151 + which + 1);
       ValueVec rows = WorkloadInput(which, rng);
@@ -368,7 +197,7 @@ TEST(HashAggProperty, HashUnderFaultsMatchesOrderedFaultFree) {
   // Fault schedules key off (stage id, partition, attempt, row index),
   // so a faulty run that completes must equal the fault-free run byte
   // for byte, and both must match the ordered sequential oracle.
-  for (int which = 0; which < 3; ++which) {
+  for (int which = 0; which < workloads::kNumWorkloads; ++which) {
     for (uint64_t seed = 0; seed < 4; ++seed) {
       std::mt19937_64 rng(seed * 2741 + which + 11);
       ValueVec rows = WorkloadInput(which, rng);

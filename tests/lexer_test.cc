@@ -91,6 +91,34 @@ TEST(Lexer, TracksLocations) {
   EXPECT_EQ((*tokens)[1].loc.column, 3);
 }
 
+TEST(Lexer, RejectsOutOfRangeIntLiteral) {
+  auto tokens = Tokenize("x = 99999999999999999999;");
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  EXPECT_NE(
+      tokens.status().message().find("out of range at line 1, column 5"),
+      std::string::npos)
+      << tokens.status().message();
+  // The largest int64 still lexes.
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)[0].int_value, INT64_MAX);
+}
+
+TEST(Lexer, RejectsOutOfRangeDoubleLiteral) {
+  auto tokens = Tokenize("y := 1.0;\n  z := 1e999;");
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  EXPECT_NE(tokens.status().message().find(
+                "1e999 out of range at line 2, column 8"),
+            std::string::npos)
+      << tokens.status().message();
+  // Underflow rounds to the nearest representable value.
+  auto tiny = Tokenize("1e-999");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ((*tiny)[0].double_value, 0.0);
+}
+
 TEST(Lexer, RejectsUnknownCharacters) {
   auto tokens = Tokenize("a @ b");
   ASSERT_FALSE(tokens.ok());

@@ -1,14 +1,16 @@
 // Property tests for runtime skew mitigation (DESIGN.md §17): a salted
 // run — hot reduce/combine tasks split across sub-tasks, merged back by
-// the un-salt step — must be byte-for-byte identical to the unmitigated
-// engine across workloads, partition/thread sweeps, columnar and boxed
-// execution, fault injection, lost-partition lineage recovery, and the multi-process distributed backend. Also
-// covers the --profile-in feedback loop: a stale profile degrades
-// gracefully to the static plan rules.
+// the un-salt step — must be byte-for-byte identical to the same engine
+// with a salting threshold no task reaches, across workloads,
+// partition/thread sweeps, typed and boxed key data, fault injection,
+// lost-partition lineage recovery, and the multi-process distributed
+// backend. Also covers the --profile-in feedback loop: a stale profile
+// degrades gracefully to the static plan rules.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -65,72 +67,94 @@ ValueVec SkewedStringRows(int64_t n, int64_t keys, double hot_share) {
   return rows;
 }
 
-/// Engine config whose skew thresholds are scaled down so test-sized
-/// workloads (tens of thousands of rows, not millions) trip the hot-task
-/// detector. Everything else stays at the defaults unless a test
-/// overrides it.
-EngineConfig SkewTestConfig(bool mitigate) {
+/// Engine config for the skew tests. With `may_salt` the hot-task
+/// threshold is scaled down so test-sized workloads (tens of thousands
+/// of rows, not millions) trip the detector; without it the threshold
+/// sits above any partition, so no task salts — the reference run.
+/// Everything else stays at the defaults unless a test overrides it.
+EngineConfig SkewTestConfig(bool may_salt) {
   EngineConfig config;
-  config.skew.mitigate = mitigate;
-  config.skew.min_rows = 512;
+  config.skew.min_rows =
+      may_salt ? 512 : std::numeric_limits<int64_t>::max();
   return config;
 }
 
+/// One point of the sweep. `typed_keys` false wraps every key in a
+/// 1-tuple: no typed fast path takes such keys, so the scatter, the
+/// combine and the reduce run their boxed legs under salting.
 struct SkewCase {
   int partitions;
   int threads;
-  bool columnar;
+  bool typed_keys;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<SkewCase>& info) {
   const SkewCase& c = info.param;
   return StrCat("p", c.partitions, "_t", c.threads,
-                c.columnar ? "_columnar" : "_boxed");
+                c.typed_keys ? "_columnar" : "_boxed");
 }
 
 class SkewMatrixTest : public ::testing::TestWithParam<SkewCase> {
  protected:
-  EngineConfig Config(bool mitigate) const {
-    EngineConfig config = SkewTestConfig(mitigate);
+  EngineConfig Config(bool may_salt) const {
+    EngineConfig config = SkewTestConfig(may_salt);
     config.num_partitions = GetParam().partitions;
     config.host_threads = GetParam().threads;
-    config.columnar = GetParam().columnar;
     return config;
+  }
+
+  /// `rows` with each key boxed in a 1-tuple unless the case has typed
+  /// keys.
+  ValueVec Keyed(ValueVec rows) const {
+    if (GetParam().typed_keys) return rows;
+    for (Value& row : rows) {
+      row = Value::MakePair(Value::MakeTuple({row.tuple()[0]}),
+                            row.tuple()[1]);
+    }
+    return rows;
+  }
+
+  /// The boxed-key cases must actually have run a boxed leg.
+  void ExpectLeg(const Engine& engine) const {
+    if (GetParam().typed_keys) return;
+    EXPECT_GT(engine.metrics().total_columnar_rows_fallback(), 0);
   }
 };
 
 TEST_P(SkewMatrixTest, ReduceByKeyByteIdentical) {
-  ValueVec rows = SkewedRows(20000, 64, 0.8);
+  ValueVec rows = Keyed(SkewedRows(20000, 64, 0.8));
 
-  Engine plain(Config(/*mitigate=*/false));
+  Engine plain(Config(/*may_salt=*/false));
   StatusOr<Dataset> expected =
       plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
   EXPECT_EQ(plain.metrics().total_salt_fanout(), 0);
 
-  Engine salted(Config(/*mitigate=*/true));
+  Engine salted(Config(/*may_salt=*/true));
   StatusOr<Dataset> got =
       salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectLeg(salted);
   // Whether this configuration actually salts depends on how the
   // map-side combine flattens the skew; the counter tests below pin
   // workloads that provably do. Here only byte-identity matters.
 }
 
 TEST_P(SkewMatrixTest, GroupByKeyByteIdentical) {
-  ValueVec rows = SkewedRows(12000, 32, 0.9);
+  ValueVec rows = Keyed(SkewedRows(12000, 32, 0.9));
 
-  Engine plain(Config(/*mitigate=*/false));
+  Engine plain(Config(/*may_salt=*/false));
   StatusOr<Dataset> expected = plain.GroupByKey(plain.Parallelize(rows));
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
-  Engine salted(Config(/*mitigate=*/true));
+  Engine salted(Config(/*may_salt=*/true));
   StatusOr<Dataset> got = salted.GroupByKey(salted.Parallelize(rows));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectLeg(salted);
 }
 
 TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
@@ -138,18 +162,18 @@ TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
   // combine tasks must not chunk-split (the fold is not provably
   // bit-associative), but hash-stripe salting of the reduce wave still
   // applies and must stay exact.
-  ValueVec rows = SkewedRows(16000, 48, 0.85);
+  ValueVec rows = Keyed(SkewedRows(16000, 48, 0.85));
   auto max_fn = [](const Value& a, const Value& b) -> StatusOr<Value> {
     return a.AsInt() >= b.AsInt() ? a : b;
   };
 
-  Engine plain(Config(/*mitigate=*/false));
+  Engine plain(Config(/*may_salt=*/false));
   StatusOr<Dataset> expected =
       plain.ReduceByKey(plain.Parallelize(rows), max_fn);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
-  Engine salted(Config(/*mitigate=*/true));
+  Engine salted(Config(/*may_salt=*/true));
   StatusOr<Dataset> got =
       salted.ReduceByKey(salted.Parallelize(rows), max_fn);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -157,19 +181,20 @@ TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
 }
 
 TEST_P(SkewMatrixTest, StringKeysByteIdentical) {
-  ValueVec rows = SkewedStringRows(15000, 40, 0.8);
+  ValueVec rows = Keyed(SkewedStringRows(15000, 40, 0.8));
 
-  Engine plain(Config(/*mitigate=*/false));
+  Engine plain(Config(/*may_salt=*/false));
   StatusOr<Dataset> expected =
       plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
-  Engine salted(Config(/*mitigate=*/true));
+  Engine salted(Config(/*may_salt=*/true));
   StatusOr<Dataset> got =
       salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectLeg(salted);
 }
 
 TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
@@ -179,20 +204,23 @@ TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
   ValueVec rows;
   for (int64_t i = 0; i < 12000; ++i) {
     int64_t key = (i % 5 == 0) ? (i % 30) + 1 : 0;
-    rows.push_back(Value::MakePair(I(key), D(0.1 * static_cast<double>(i % 97))));
+    rows.push_back(
+        Value::MakePair(I(key), D(0.1 * static_cast<double>(i % 97))));
   }
+  rows = Keyed(std::move(rows));
 
-  Engine plain(Config(/*mitigate=*/false));
+  Engine plain(Config(/*may_salt=*/false));
   StatusOr<Dataset> expected =
       plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
-  Engine salted(Config(/*mitigate=*/true));
+  Engine salted(Config(/*may_salt=*/true));
   StatusOr<Dataset> got =
       salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectLeg(salted);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -205,13 +233,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SkewFaultTest, FaultInjectionByteIdentical) {
   ValueVec rows = SkewedRows(20000, 64, 0.8);
 
-  Engine clean(SkewTestConfig(/*mitigate=*/false));
+  Engine clean(SkewTestConfig(/*may_salt=*/false));
   StatusOr<Dataset> expected =
       clean.ReduceByKey(clean.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok());
   std::string want = Bytes(clean, *expected);
 
-  EngineConfig faulty = SkewTestConfig(/*mitigate=*/true);
+  EngineConfig faulty = SkewTestConfig(/*may_salt=*/true);
   faulty.faults.seed = 17;
   faulty.faults.task_failure_rate = 0.15;
   Engine engine(faulty);
@@ -226,7 +254,7 @@ TEST(SkewFaultTest, FaultInjectionByteIdentical) {
 TEST(SkewFaultTest, LostPartitionRecoveryByteIdentical) {
   ValueVec rows = SkewedRows(18000, 50, 0.85);
 
-  Engine clean(SkewTestConfig(/*mitigate=*/false));
+  Engine clean(SkewTestConfig(/*may_salt=*/false));
   StatusOr<Dataset> expected = clean.GroupByKey(clean.Parallelize(rows));
   ASSERT_TRUE(expected.ok());
   std::string want = Bytes(clean, *expected);
@@ -234,7 +262,7 @@ TEST(SkewFaultTest, LostPartitionRecoveryByteIdentical) {
   // Lose input partitions of the first stages: the lineage recompute
   // replays the producer, and the salted reduce wave runs over the
   // rebuilt rows exactly as over the originals.
-  EngineConfig faulty = SkewTestConfig(/*mitigate=*/true);
+  EngineConfig faulty = SkewTestConfig(/*may_salt=*/true);
   faulty.faults.lose_partitions.push_back({0, 0, 0});
   faulty.faults.lose_partitions.push_back({1, 1, 0});
   Engine engine(faulty);
@@ -246,13 +274,13 @@ TEST(SkewFaultTest, LostPartitionRecoveryByteIdentical) {
 TEST(SkewFaultTest, SerializedShufflesByteIdentical) {
   ValueVec rows = SkewedRows(16000, 64, 0.8);
 
-  Engine plain(SkewTestConfig(/*mitigate=*/false));
+  Engine plain(SkewTestConfig(/*may_salt=*/false));
   StatusOr<Dataset> expected =
       plain.ReduceByKey(plain.Parallelize(rows), BinOp::kMax);
   ASSERT_TRUE(expected.ok());
   std::string want = Bytes(plain, *expected);
 
-  EngineConfig wire = SkewTestConfig(/*mitigate=*/true);
+  EngineConfig wire = SkewTestConfig(/*may_salt=*/true);
   wire.serialize_shuffles = true;
   Engine engine(wire);
   StatusOr<Dataset> got =
@@ -264,7 +292,7 @@ TEST(SkewFaultTest, SerializedShufflesByteIdentical) {
 TEST(SkewDistTest, DistWorkersWithChaosByteIdentical) {
   ValueVec rows = SkewedRows(16000, 64, 0.8);
 
-  Engine local(SkewTestConfig(/*mitigate=*/false));
+  Engine local(SkewTestConfig(/*may_salt=*/false));
   StatusOr<Dataset> expected =
       local.ReduceByKey(local.Parallelize(rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok());
@@ -275,7 +303,7 @@ TEST(SkewDistTest, DistWorkersWithChaosByteIdentical) {
   dist_config.heartbeat_ms = 50;
   dist_config.chaos.kills.push_back({/*stage=*/1, /*worker=*/0, 0});
   dist::Coordinator coordinator(dist_config);
-  EngineConfig config = SkewTestConfig(/*mitigate=*/true);
+  EngineConfig config = SkewTestConfig(/*may_salt=*/true);
   config.remote = &coordinator;
   config.dist_lose_on_kill = true;
   Engine engine(config);
@@ -293,10 +321,10 @@ TEST(SkewCountersTest, GroupByKeyHotKeySalts) {
   // reassembled from several sub-tasks (salted_keys records the folds).
   ValueVec rows = SkewedRows(12000, 32, 0.9);
 
-  Engine plain(SkewTestConfig(/*mitigate=*/false));
+  Engine plain(SkewTestConfig(/*may_salt=*/false));
   std::string want = Bytes(plain, *plain.GroupByKey(plain.Parallelize(rows)));
 
-  Engine salted(SkewTestConfig(/*mitigate=*/true));
+  Engine salted(SkewTestConfig(/*may_salt=*/true));
   StatusOr<Dataset> got = salted.GroupByKey(salted.Parallelize(rows));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
@@ -325,18 +353,12 @@ TEST(SkewCountersTest, ReduceByKeyImbalancedPartitionsSplitCombine) {
   schema.key = ColumnTag::kInt64;
   schema.value = ColumnTag::kInt64;
 
-  // Combine splitting exists only on the typed int64 path, which needs
-  // the columnar engine: pin it so the boxed-default build runs it too.
-  EngineConfig plain_config = SkewTestConfig(/*mitigate=*/false);
-  plain_config.columnar = true;
-  Engine plain(plain_config);
+  Engine plain(SkewTestConfig(/*may_salt=*/false));
   std::string want = Bytes(
       plain,
       *plain.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema));
 
-  EngineConfig salted_config = SkewTestConfig(/*mitigate=*/true);
-  salted_config.columnar = true;
-  Engine salted(salted_config);
+  Engine salted(SkewTestConfig(/*may_salt=*/true));
   StatusOr<Dataset> got =
       salted.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -361,13 +383,13 @@ TEST(SkewCountersTest, ReduceByKeyHotDestinationStripes) {
     }
   }
 
-  EngineConfig base = SkewTestConfig(/*mitigate=*/false);
+  EngineConfig base = SkewTestConfig(/*may_salt=*/false);
   base.num_partitions = 8;
   Engine plain(base);
   std::string want =
       Bytes(plain, *plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd));
 
-  EngineConfig cfg = SkewTestConfig(/*mitigate=*/true);
+  EngineConfig cfg = SkewTestConfig(/*may_salt=*/true);
   cfg.num_partitions = 8;
   Engine salted(cfg);
   StatusOr<Dataset> got =
@@ -396,7 +418,7 @@ TEST(SkewCountersTest, StringKeyShuffleStaysTyped) {
   // The typed string-dictionary shuffle (per-destination re-interning)
   // must keep string-keyed reduceByKey on the columnar path: no stage
   // reports fallback rows.
-  EngineConfig config = SkewTestConfig(/*mitigate=*/true);
+  EngineConfig config = SkewTestConfig(/*may_salt=*/true);
   Engine engine(config);
   ValueVec rows = SkewedStringRows(15000, 40, 0.8);
   StatusOr<Dataset> got =

@@ -3,7 +3,7 @@
 
 Usage:
     check_bench_regression.py BASELINE.json CURRENT.json [--threshold PCT]
-                              [--prefix NAME] [--pair FAST,SLOW,MIN_SPEEDUP]
+                              [--prefix NAME]
 
 Fails (exit 1) when any benchmark matched by --prefix (default:
 BM_ReduceByKeyHot, the hash-aggregation hot path) is more than
@@ -13,15 +13,6 @@ but missing from the current run is a schema failure (exit 2): dropping
 a hot-path benchmark must not pass the gate. New benchmarks with no
 baseline are reported but never fail — CI machines differ, thresholds
 guard the tracked hot path only.
-
---pair FAST,SLOW,MIN_SPEEDUP[,NAME] (repeatable) compares two *named*
-benchmarks within the CURRENT run — an ablation pair built with
-different flags (e.g. columnar vs boxed) — and fails (exit 1) unless
-real_time(SLOW) / real_time(FAST) >= MIN_SPEEDUP. The optional NAME
-labels the ablation in every verdict line and in the failure summary,
-so a red gate says which ablation regressed rather than just a ratio;
-without it the label is "FAST vs SLOW". Either benchmark missing from
-the current run is a schema failure (exit 2).
 
 Stdlib only; runs on any python3.
 """
@@ -74,28 +65,8 @@ def main():
     parser.add_argument("--prefix", action="append", default=None,
                         help="benchmark name prefix to gate on; repeatable "
                              "(default: BM_ReduceByKeyHot)")
-    parser.add_argument("--pair", action="append", default=[],
-                        metavar="FAST,SLOW,MIN_SPEEDUP[,NAME]",
-                        help="require real_time(SLOW)/real_time(FAST) >= "
-                             "MIN_SPEEDUP in the current run; NAME labels "
-                             "the ablation in verdicts; repeatable")
     args = parser.parse_args()
     prefixes = args.prefix or ["BM_ReduceByKeyHot"]
-
-    pairs = []
-    for spec in args.pair:
-        parts = spec.split(",")
-        if len(parts) not in (3, 4):
-            print(f"ERROR: --pair expects FAST,SLOW,MIN_SPEEDUP[,NAME], got "
-                  f"{spec!r}", file=sys.stderr)
-            return 2
-        label = parts[3] if len(parts) == 4 else f"{parts[0]} vs {parts[1]}"
-        try:
-            pairs.append((parts[0], parts[1], float(parts[2]), label))
-        except ValueError:
-            print(f"ERROR: --pair {spec!r}: MIN_SPEEDUP is not a number",
-                  file=sys.stderr)
-            return 2
 
     try:
         baseline = load_times(args.baseline)
@@ -129,29 +100,11 @@ def main():
         if any(name.startswith(p) for p in prefixes) and name not in baseline:
             print(f"NOTE  {name}: new benchmark, no baseline")
 
-    pair_failures = []
-    for fast, slow, min_speedup, label in pairs:
-        absent = [n for n in (fast, slow) if n not in current]
-        if absent:
-            print(f"ERROR: --pair [{label}] benchmark(s) missing from "
-                  f"current run: {', '.join(absent)}", file=sys.stderr)
-            return 2
-        if current[fast] <= 0:
-            print(f"ERROR: --pair [{label}]: {fast} has non-positive "
-                  f"real_time", file=sys.stderr)
-            return 2
-        speedup = current[slow] / current[fast]
-        verdict = "OK" if speedup >= min_speedup else "FAIL"
-        if verdict == "FAIL":
-            pair_failures.append(label)
-        print(f"{verdict:5} [{label}] {fast} vs {slow}: {speedup:.2f}x "
-              f"(need >= {min_speedup:.2f}x)")
-
     if missing:
         print(f"ERROR: {len(missing)} gated benchmark(s) missing from the "
               f"current run: {', '.join(missing)}", file=sys.stderr)
         return 2
-    if checked == 0 and not pairs:
+    if checked == 0:
         print(f"ERROR: no benchmarks matched prefixes {prefixes}",
               file=sys.stderr)
         return 1
@@ -160,13 +113,8 @@ def main():
               f"{args.threshold:.0f}%: {', '.join(failures)}",
               file=sys.stderr)
         return 1
-    if pair_failures:
-        print(f"FAILED: {len(pair_failures)} ablation pair(s) below their "
-              f"minimum speedup: {'; '.join(pair_failures)}",
-              file=sys.stderr)
-        return 1
     print(f"All {checked} gated benchmark(s) within {args.threshold:.0f}% "
-          f"of baseline; {len(pairs)} ablation pair(s) OK.")
+          f"of baseline.")
     return 0
 
 

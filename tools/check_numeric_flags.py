@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Checks that diablo_run rejects out-of-range or malformed numeric flags.
+"""Checks that diablo_run and diablo_lint reject bad numeric flags.
 
 Each size or count flag must be an integer in its documented range:
 --partitions, --workers, --tile-rows, --tile-cols and --max-attempts at
 least 1, and --broadcast-mb at least 0 and small enough that N MB fits
 in int64. Each fault rate (--fail-rate, --straggler-rate, --corrupt-rate,
---chaos-kill-rate) must be a finite probability in [0, 1]. A bad
-value must fail with exit code 1, one `diablo_run: <flag> ...` line on
-stderr and nothing on stdout. The same program with in-range values must
-still run.
+--chaos-kill-rate) must be a finite probability in [0, 1]. diablo_lint's
+--max-domain must be an integer of at least 2 and --bytes-per-slot one of
+at least 1, both fitting in int. A bad value must fail with exit code 1,
+one `<tool>: <flag> ...` line on stderr and nothing on stdout. The same
+program with in-range values must still run (or lint).
 
 Usage:
-  check_numeric_flags.py <diablo_run> <program> [program args...]
+  check_numeric_flags.py <diablo_run> <diablo_lint> <program>
+                         [program args...]
 
 Prints "OK: ..." and exits 0 on success, 1 on any check failure.
 """
@@ -48,6 +50,23 @@ BAD = [
     ("--chaos-kill-rate", "-0.5"),
 ]
 
+LINT_BAD = [
+    ("--max-domain", "5abc"),
+    ("--max-domain", "4294967298"),
+    ("--max-domain", "1"),
+    ("--max-domain", ""),
+    ("--bytes-per-slot", "0"),
+    ("--bytes-per-slot", "16x"),
+    ("--bytes-per-slot", "-4"),
+]
+
+LINT_GOOD = [
+    ("--max-domain", "2"),
+    ("--max-domain", "4"),
+    ("--bytes-per-slot", "1"),
+    ("--bytes-per-slot", "24"),
+]
+
 GOOD = [
     ("--partitions", "3"),
     ("--workers", "1"),
@@ -63,33 +82,39 @@ GOOD = [
 ]
 
 
-def main():
-    if len(sys.argv) < 3:
-        print(__doc__, file=sys.stderr)
-        return 1
-    base = sys.argv[1:]
-    failures = []
-    for flag, value in BAD:
+def check(tool, base, bad, good, failures):
+    for flag, value in bad:
         proc = subprocess.run(base + [flag, value], capture_output=True,
                               text=True)
         err = proc.stderr.strip()
         if (proc.returncode != 1 or proc.stdout != "" or
-                not err.startswith(f"diablo_run: {flag} expects")):
-            failures.append(f"{flag} {value!r}: exit {proc.returncode}, "
-                            f"stdout {proc.stdout!r}, stderr {err!r}")
-    for flag, value in GOOD:
+                not err.startswith(f"{tool}: {flag} expects")):
+            failures.append(f"{tool} {flag} {value!r}: exit "
+                            f"{proc.returncode}, stdout {proc.stdout!r}, "
+                            f"stderr {err!r}")
+    for flag, value in good:
         proc = subprocess.run(base + [flag, value], capture_output=True,
                               text=True)
         if proc.returncode != 0:
-            failures.append(f"{flag} {value!r} (valid): exit "
+            failures.append(f"{tool} {flag} {value!r} (valid): exit "
                             f"{proc.returncode}, stderr "
                             f"{proc.stderr.strip()!r}")
+
+
+def main():
+    if len(sys.argv) < 4:
+        print(__doc__, file=sys.stderr)
+        return 1
+    run, lint, program = sys.argv[1:4]
+    failures = []
+    check("diablo_run", [run, program] + sys.argv[4:], BAD, GOOD, failures)
+    check("diablo_lint", [lint, program], LINT_BAD, LINT_GOOD, failures)
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if failures:
         return 1
-    print(f"OK: {len(BAD)} bad numeric flags rejected, "
-          f"{len(GOOD)} valid ones accepted")
+    print(f"OK: {len(BAD) + len(LINT_BAD)} bad numeric flags rejected, "
+          f"{len(GOOD) + len(LINT_GOOD)} valid ones accepted")
     return 0
 
 

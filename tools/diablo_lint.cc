@@ -39,6 +39,7 @@
 // fine), 2 parse error, 3 error diagnostics reported, 4 translation
 // error, 6 invalid argument, 7 unsupported feature, 1 CLI or I/O error.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -54,11 +55,23 @@
 #include "analysis/restrictions.h"
 #include "diablo/diablo.h"
 #include "parser/parser.h"
+#include "flag_parse.h"
+
+namespace diablo::cli {
+
+void Die(const std::string& message) {
+  std::fprintf(stderr, "diablo_lint: %s\n", message.c_str());
+  std::exit(1);
+}
+
+}  // namespace diablo::cli
 
 namespace {
 
 using diablo::Status;
 using diablo::StatusCode;
+using diablo::cli::Die;
+using diablo::cli::ParseIntFlagIn;
 namespace analysis = diablo::analysis;
 
 int ExitCodeFor(StatusCode code) {
@@ -82,11 +95,6 @@ int ExitCodeFor(StatusCode code) {
       return 1;  // the linter never reaches the distributed backend
   }
   return 1;
-}
-
-[[noreturn]] void Die(const std::string& message) {
-  std::fprintf(stderr, "diablo_lint: %s\n", message.c_str());
-  std::exit(1);
 }
 
 [[noreturn]] void DieStatus(const Status& status) {
@@ -140,15 +148,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-opt") {
       compile_options.enable_optimizer = false;
     } else if (arg == "--max-domain") {
-      loop_options.max_domain = std::atoi(next().c_str());
-      if (loop_options.max_domain < 2) {
-        Die("--max-domain must be at least 2");
-      }
+      loop_options.max_domain =
+          static_cast<int>(ParseIntFlagIn(arg, next(), 2, INT_MAX));
     } else if (arg == "--bytes-per-slot") {
-      plan_options.bytes_per_slot = std::atoi(next().c_str());
-      if (plan_options.bytes_per_slot < 1) {
-        Die("--bytes-per-slot must be at least 1");
-      }
+      plan_options.bytes_per_slot =
+          static_cast<int>(ParseIntFlagIn(arg, next(), 1, INT_MAX));
     } else if (arg == "--profile-in" || arg.rfind("--profile-in=", 0) == 0) {
       profile_in = arg.size() > 13 ? arg.substr(13) : next();
     } else if (arg.rfind("--", 0) == 0) {

@@ -36,10 +36,7 @@
 //                            instead of static estimates. A stale profile
 //                            (renamed program, shifted lines) degrades
 //                            gracefully to the static rules.
-//   --no-skew                disable runtime skew mitigation (salting of
-//                            hot reduce tasks; SkewConfig::mitigate=0)
 //   --no-trace               disable span recording (EngineConfig::tracing)
-//   --no-columnar            boxed per-row execution (columnar=0, AB9)
 //   --partitions N           engine partitions (default 8; N >= 1)
 //   --workers N              simulated cluster workers (default 4; N >= 1)
 //   --threads N              host threads executing partition tasks
@@ -99,7 +96,6 @@
 // Example:
 //   diablo_run wordcount.diablo --vector words=words.csv --print C
 
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -121,6 +117,16 @@
 #include "runtime/events.h"
 #include "runtime/metrics_registry.h"
 #include "runtime/trace.h"
+#include "flag_parse.h"
+
+namespace diablo::cli {
+
+void Die(const std::string& message) {
+  std::fprintf(stderr, "diablo_run: %s\n", message.c_str());
+  std::exit(1);
+}
+
+}  // namespace diablo::cli
 
 namespace {
 
@@ -128,6 +134,10 @@ using diablo::Status;
 using diablo::StatusCode;
 using diablo::runtime::Value;
 using diablo::runtime::ValueVec;
+using diablo::cli::Die;
+using diablo::cli::ParseIntFlag;
+using diablo::cli::ParseIntFlagIn;
+using diablo::cli::ParseRateFlag;
 
 /// Maps an error category to the process exit code documented above.
 int ExitCodeFor(StatusCode code) {
@@ -151,11 +161,6 @@ int ExitCodeFor(StatusCode code) {
       return 8;
   }
   return 1;
-}
-
-[[noreturn]] void Die(const std::string& message) {
-  std::fprintf(stderr, "diablo_run: %s\n", message.c_str());
-  std::exit(1);
 }
 
 [[noreturn]] void DieStatus(const Status& status) {
@@ -246,50 +251,6 @@ NameValue SplitBinding(const std::string& arg) {
   return {arg.substr(0, eq), arg.substr(eq + 1)};
 }
 
-/// Strict numeric flag parsing: a fault rate silently read as 0 would
-/// turn an injection experiment into a fault-free run, so garbage dies.
-double ParseDoubleFlag(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    Die(flag + " expects a number, got '" + text + "'");
-  }
-  return v;
-}
-
-/// ParseDoubleFlag restricted to a probability: NaN, infinities and
-/// values outside [0, 1] die instead of acting as 0 or 1 downstream.
-double ParseRateFlag(const std::string& flag, const std::string& text) {
-  double v = ParseDoubleFlag(flag, text);
-  if (!(v >= 0.0 && v <= 1.0)) {
-    Die(flag + " expects a probability in [0, 1], got '" + text + "'");
-  }
-  return v;
-}
-
-long long ParseIntFlag(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    Die(flag + " expects an integer, got '" + text + "'");
-  }
-  return v;
-}
-
-/// ParseIntFlag restricted to [lo, hi]. Sizes and counts are checked
-/// here because a zero or negative one reaches the engine as a silent
-/// clamp, a division by zero in the cost model, or a negative shift.
-long long ParseIntFlagIn(const std::string& flag, const std::string& text,
-                         long long lo, long long hi) {
-  long long v = ParseIntFlag(flag, text);
-  if (v < lo || v > hi) {
-    Die(flag + " expects an integer in [" + std::to_string(lo) + ", " +
-        std::to_string(hi) + "], got '" + text + "'");
-  }
-  return v;
-}
-
 /// Parses "S:P" or "S:P:I" colon-separated small integers.
 std::vector<int> SplitColonInts(const std::string& arg, size_t min_fields,
                                 size_t max_fields) {
@@ -366,12 +327,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--events-out" ||
                arg.rfind("--events-out=", 0) == 0) {
       events_out = arg.size() > 13 ? arg.substr(13) : next();
-    } else if (arg == "--no-skew") {
-      engine_config.skew.mitigate = false;
     } else if (arg == "--no-trace") {
       engine_config.tracing = false;
-    } else if (arg == "--no-columnar") {
-      engine_config.columnar = false;
     } else if (arg == "--partitions") {
       engine_config.num_partitions =
           static_cast<int>(ParseIntFlagIn(arg, next(), 1, INT_MAX));
