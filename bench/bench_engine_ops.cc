@@ -6,11 +6,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "comp/comp.h"
 #include "dist/coordinator.h"
+#include "plan/plan.h"
+#include "plan/row_program.h"
 #include "runtime/column_batch.h"
 #include "runtime/engine.h"
 #include "runtime/operators.h"
@@ -21,6 +25,7 @@ namespace {
 using diablo::runtime::BinOp;
 using diablo::runtime::Dataset;
 using diablo::runtime::Engine;
+using diablo::runtime::EngineConfig;
 using diablo::runtime::Value;
 using diablo::runtime::ValueVec;
 
@@ -339,6 +344,106 @@ BENCHMARK(BM_HashRowsBoxed)
     ->Args({100000, 0})
     ->Args({100000, 1})
     ->ArgNames({"rows", "tag"});
+
+// reduceByKey over the paper's matrix index keys (i,j): every key of a
+// grid_n x grid_n grid that a `partitions`-way scatter sends to
+// destination 0, four rows per key, so one aggregation table holds them
+// all (96, 1: the 9,216 keys of a 96x96 matrix; 384, 16: about as many
+// keys, all sharing their hash residue mod 16). The table's probe slot
+// comes from the remixed hash; cut from the raw hash, these keys ran
+// into long probe chains.
+void BM_ReduceByKeyIndexKeys(benchmark::State& state) {
+  const int64_t grid_n = state.range(0);
+  EngineConfig config;
+  config.num_partitions = static_cast<int>(state.range(1));
+  Engine engine(config);
+  ValueVec rows;
+  for (int64_t i = 0; i < grid_n; ++i) {
+    for (int64_t j = 0; j < grid_n; ++j) {
+      Value key = Value::MakePair(Value::MakeInt(i), Value::MakeInt(j));
+      if (key.Hash() % static_cast<size_t>(config.num_partitions) != 0) {
+        continue;
+      }
+      for (int r = 0; r < 4; ++r) {
+        rows.push_back(Value::MakePair(key, Value::MakeDouble(i * 0.5 + r)));
+      }
+    }
+  }
+  const int64_t n = static_cast<int64_t>(rows.size());
+  Dataset ds = engine.Parallelize(std::move(rows));
+  for (auto _ : state) {
+    auto out = engine.ReduceByKey(ds, BinOp::kAdd);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ReduceByKeyIndexKeys)
+    ->Args({96, 1})
+    ->Args({384, 16})
+    ->ArgNames({"grid", "partitions"});
+
+// The kmeans distance (P[i]._1 - C[j]._1)^2 + (P[i]._2 - C[j]._2)^2 over
+// 100k rows of (p, c) point pairs. tag 0 evaluates the compiled row
+// program directly; tag 1 runs it the way a plan does, as the yield of
+// a comprehension over an array, through the engine's boxed Map path.
+diablo::comp::CExprPtr KMeansDistance() {
+  using namespace diablo::comp;
+  auto diff = [](const char* field) {
+    return MakeBin(BinOp::kSub, MakeProj(MakeVar("p"), field),
+                   MakeProj(MakeVar("c"), field));
+  };
+  return MakeBin(BinOp::kAdd, MakeBin(BinOp::kMul, diff("_1"), diff("_1")),
+                 MakeBin(BinOp::kMul, diff("_2"), diff("_2")));
+}
+
+void BM_KMeansDistance(benchmark::State& state) {
+  constexpr int64_t kRows = 100000;
+  Engine engine;
+  ValueVec rows;
+  rows.reserve(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    rows.push_back(Value::MakePair(
+        Value::MakePair(Value::MakeDouble(i * 0.25), Value::MakeDouble(i % 97)),
+        Value::MakePair(Value::MakeDouble(i % 13), Value::MakeDouble(2.5))));
+  }
+  std::map<std::string, Value> scalars;
+  std::map<std::string, Dataset> arrays;
+  arrays["PC"] = engine.Parallelize(rows);
+  diablo::plan::ExecState exec;
+  exec.engine = &engine;
+  exec.scalars = &scalars;
+  exec.arrays = &arrays;
+  if (state.range(0) == 0) {
+    const diablo::plan::RowProgram program =
+        diablo::plan::RowProgram::Compile(KMeansDistance(), {"p", "c"}, exec);
+    for (auto _ : state) {
+      double sum = 0;
+      for (const Value& row : rows) {
+        Value scratch;
+        diablo::Status error;
+        sum += program.Eval(row.tuple(), &scratch, &error)->AsDouble();
+      }
+      benchmark::DoNotOptimize(sum);
+    }
+  } else {
+    diablo::plan::StreamOp scan;
+    scan.kind = diablo::plan::StreamOp::Kind::kSourceArray;
+    scan.array = "PC";
+    scan.pattern = diablo::comp::Pattern::Tuple(
+        {diablo::comp::Pattern::Var("p"), diablo::comp::Pattern::Var("c")});
+    scan.schema_after = {"p", "c"};
+    diablo::plan::CompPlan plan;
+    plan.ops.push_back(scan);
+    plan.head = KMeansDistance();
+    for (auto _ : state) {
+      auto ds = diablo::plan::ExecutePlan(plan, exec);
+      auto out = engine.Force(*ds);
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_KMeansDistance)->Arg(0)->Arg(1)->ArgNames({"tag"});
 
 void BM_ValueCopy(benchmark::State& state) {
   ValueVec elems;

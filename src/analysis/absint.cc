@@ -1,6 +1,7 @@
 #include "analysis/absint.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 #include <utility>
@@ -248,11 +249,13 @@ class AbstractInterpreter {
         case BinOp::kMul:
           return *l * *r;
         case BinOp::kDiv:
-          if (*r == 0) return std::nullopt;
-          return *l / *r;
         case BinOp::kMod:
-          if (*r == 0) return std::nullopt;
-          return *l % *r;
+          // No value for a zero divisor or the overflowing INT64_MIN / -1.
+          if (*r == 0 ||
+              (*l == std::numeric_limits<int64_t>::min() && *r == -1)) {
+            return std::nullopt;
+          }
+          return bin.op == BinOp::kDiv ? *l / *r : *l % *r;
         default:
           return std::nullopt;
       }
@@ -341,7 +344,17 @@ class AbstractInterpreter {
   AbstractValue EvalBin(const Expr& e) {
     const auto& bin = e.as<Expr::Bin>();
     AbstractValue l = EvalExpr(*bin.lhs);
+    // && and || short-circuit: their right operand runs on every path
+    // only when the left one provably does not decide the result.
+    const bool connective = bin.op == BinOp::kAnd || bin.op == BinOp::kOr;
+    const bool saved_reach = reachable_;
+    if (connective) {
+      const int64_t undecided = bin.op == BinOp::kAnd ? 1 : 0;
+      reachable_ = reachable_ && l.tag == Tag::kBool &&
+                   l.range.IsConst() && l.range.lo == undecided;
+    }
     AbstractValue r = EvalExpr(*bin.rhs);
+    reachable_ = saved_reach;
     bool both_int = l.tag == Tag::kInt && r.tag == Tag::kInt;
     switch (bin.op) {
       case BinOp::kAdd:

@@ -98,6 +98,19 @@ StatusOr<ReferenceInterpreter::Lifted> ReferenceInterpreter::EvalExpr(
     const auto& b = e.as<Expr::Bin>();
     DIABLO_ASSIGN_OR_RETURN(Lifted l, EvalExpr(*b.lhs));
     if (!l.present) return Lifted::Absent();
+    const bool decided =
+        l.value.is_bool() &&
+        ((b.op == BinOp::kAnd && !l.value.AsBool()) ||
+         (b.op == BinOp::kOr && l.value.AsBool()));
+    if (decided) {
+      // && and || short-circuit, so the right operand's errors never
+      // surface. Its array reads still decide presence: the translated
+      // comprehension binds them by generators before the condition runs,
+      // so a missing element drops the whole condition there too.
+      StatusOr<Lifted> r = EvalExpr(*b.rhs);
+      if (r.ok() && !r->present) return Lifted::Absent();
+      return l;
+    }
     DIABLO_ASSIGN_OR_RETURN(Lifted r, EvalExpr(*b.rhs));
     if (!r.present) return Lifted::Absent();
     DIABLO_ASSIGN_OR_RETURN(Value v, runtime::EvalBinOp(b.op, l.value, r.value));

@@ -1,9 +1,13 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
 #include "common/strings.h"
 #include "plan/plan.h"
+#include "plan/row_program.h"
 #include "runtime/array.h"
 
 namespace diablo::plan {
@@ -42,245 +46,514 @@ Status BindPattern(const Pattern& pattern, const Value& value,
   return Status::OK();
 }
 
-// --------------------------- expression evaluation ---------------------------
+/// A copy of `row` with capacity for `extra` more bound values, so that
+/// binding them does not reallocate.
+ValueVec Widened(const ValueVec& row, size_t extra) {
+  ValueVec out;
+  out.reserve(row.size() + extra);
+  out.insert(out.end(), row.begin(), row.end());
+  return out;
+}
 
-/// Evaluates a comprehension expression against a row of `schema`-ordered
-/// `values`, falling back to driver scalars. When `allow_subplans` is
-/// true (driver context), nested comprehensions are planned and executed;
-/// in row context they are an error (the normalizer flattens them away).
-struct EvalCtx {
-  const std::vector<std::string>* schema;
-  const ValueVec* values;
-  const ExecState* state;
-  bool allow_subplans;
+/// Moves a computed value into `*out`, or records its error.
+const Value* Deliver(StatusOr<Value> result, Value* out, Status* error) {
+  if (!result.ok()) {
+    *error = result.status();
+    return nullptr;
+  }
+  *out = std::move(result).value();
+  return out;
+}
+
+/// An owned copy of an evaluation result, moved when it is the scratch.
+Value Take(const Value* v, Value* scratch) {
+  return v == scratch ? std::move(*scratch) : *v;
+}
+
+}  // namespace
+
+// --------------------------- row programs -----------------------------------
+
+/// Lowers a CExpr tree into RowProgram nodes, resolving names against the
+/// schema and the driver state once.
+class RowProgram::Compiler {
+ public:
+  Compiler(RowProgram* program, const std::vector<std::string>& schema,
+           const ExecState& state, Context context)
+      : p_(program), schema_(schema), state_(state), context_(context) {}
+
+  int32_t Lower(const CExprPtr& e) {
+    if (e->is<CExpr::Var>()) return LowerVar(e->as<CExpr::Var>().name);
+    if (e->is<CExpr::IntConst>()) {
+      return Const(Value::MakeInt(e->as<CExpr::IntConst>().value));
+    }
+    if (e->is<CExpr::DoubleConst>()) {
+      return Const(Value::MakeDouble(e->as<CExpr::DoubleConst>().value));
+    }
+    if (e->is<CExpr::BoolConst>()) {
+      return Const(Value::MakeBool(e->as<CExpr::BoolConst>().value));
+    }
+    if (e->is<CExpr::StringConst>()) {
+      return Const(Value::MakeString(e->as<CExpr::StringConst>().value));
+    }
+    if (e->is<CExpr::Bin>()) {
+      const auto& b = e->as<CExpr::Bin>();
+      Node n(Op::kBin);
+      n.bin = b.op;
+      n.kids = {Lower(b.lhs), Lower(b.rhs)};
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::Un>()) {
+      const auto& u = e->as<CExpr::Un>();
+      Node n(Op::kUn);
+      n.un = u.op;
+      n.kids = {Lower(u.operand)};
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::TupleCons>()) {
+      return LowerTuple(e->as<CExpr::TupleCons>().elems);
+    }
+    if (e->is<CExpr::RecordCons>()) {
+      Node n(Op::kRecord);
+      for (const auto& [name, c] : e->as<CExpr::RecordCons>().fields) {
+        n.names.push_back(name);
+        n.kids.push_back(Lower(c));
+      }
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::Proj>()) {
+      const auto& proj = e->as<CExpr::Proj>();
+      Node n(Op::kProj);
+      n.kids = {Lower(proj.base)};
+      n.text = proj.field;
+      if (proj.field.size() >= 2 && proj.field[0] == '_') {
+        n.index = std::max(0, std::atoi(proj.field.c_str() + 1));
+      }
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::Call>()) {
+      const auto& call = e->as<CExpr::Call>();
+      Node n(Op::kCall);
+      n.text = call.function;
+      n.builtin = ResolveBuiltin(call.function);
+      for (const auto& a : call.args) n.kids.push_back(Lower(a));
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::Reduce>()) {
+      const auto& r = e->as<CExpr::Reduce>();
+      if (context_ == Context::kDriver && r.arg->is<CExpr::Nested>()) {
+        Node n(Op::kReduceNested);
+        n.bin = r.op;
+        n.expr = r.arg;
+        return Add(std::move(n));
+      }
+      Node n(Op::kReduce);
+      n.bin = r.op;
+      n.kids = {Lower(r.arg)};
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::Nested>()) {
+      if (context_ == Context::kRow) {
+        return Raise(
+            "nested comprehension in a row expression (normalizer should "
+            "have flattened it)");
+      }
+      Node n(Op::kNested);
+      n.expr = e;
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::Range>()) {
+      const auto& r = e->as<CExpr::Range>();
+      Node n(Op::kRange);
+      n.kids = {Lower(r.lo), Lower(r.hi)};
+      return Add(std::move(n));
+    }
+    if (e->is<CExpr::Merge>()) {
+      if (context_ == Context::kRow) {
+        return Raise("array merge in a row expression");
+      }
+      Node n(Op::kMerge);
+      n.expr = e;
+      return Add(std::move(n));
+    }
+    Node n(Op::kBag);
+    for (const auto& c : e->as<CExpr::BagCons>().elems) {
+      n.kids.push_back(Lower(c));
+    }
+    return Add(std::move(n));
+  }
+
+  int32_t LowerTuple(const std::vector<CExprPtr>& elems) {
+    Node n(Op::kTuple);
+    for (const auto& c : elems) n.kids.push_back(Lower(c));
+    return Add(std::move(n));
+  }
+
+ private:
+  /// Schema slot first (first match), then driver scalars, then arrays.
+  int32_t LowerVar(const std::string& name) {
+    for (size_t i = 0; i < schema_.size(); ++i) {
+      if (schema_[i] == name) {
+        Node n(Op::kSlot);
+        n.index = static_cast<int32_t>(i);
+        return Add(std::move(n));
+      }
+    }
+    if (state_.scalars != nullptr) {
+      auto it = state_.scalars->find(name);
+      if (it != state_.scalars->end()) return Const(it->second);
+    }
+    if (state_.arrays != nullptr && state_.arrays->count(name) != 0) {
+      if (context_ == Context::kRow) {
+        return Raise(StrCat("distributed array '", name,
+                            "' used as a value inside a row expression"));
+      }
+      Node n(Op::kArray);
+      n.text = name;
+      return Add(std::move(n));
+    }
+    return Raise(StrCat("unbound variable '", name, "'"));
+  }
+
+  static Builtin ResolveBuiltin(const std::string& f) {
+    if (f == "inRange") return Builtin::kInRange;
+    if (f == "sqrt") return Builtin::kSqrt;
+    if (f == "abs") return Builtin::kAbs;
+    if (f == "exp") return Builtin::kExp;
+    if (f == "log") return Builtin::kLog;
+    if (f == "pow") return Builtin::kPow;
+    if (f == "floor") return Builtin::kFloor;
+    return Builtin::kUnknown;
+  }
+
+  int32_t Const(Value v) {
+    p_->consts_.push_back(std::move(v));
+    Node n(Op::kConst);
+    n.index = static_cast<int32_t>(p_->consts_.size() - 1);
+    return Add(std::move(n));
+  }
+
+  int32_t Raise(std::string message) {
+    Node n(Op::kRaise);
+    n.text = std::move(message);
+    return Add(std::move(n));
+  }
+
+  int32_t Add(Node n) {
+    p_->nodes_.push_back(std::move(n));
+    return static_cast<int32_t>(p_->nodes_.size() - 1);
+  }
+
+  RowProgram* p_;
+  const std::vector<std::string>& schema_;
+  const ExecState& state_;
+  Context context_;
 };
 
-StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx);
+RowProgram RowProgram::Compile(const CExprPtr& e,
+                               const std::vector<std::string>& schema,
+                               const ExecState& state, Context context) {
+  RowProgram p;
+  if (context == Context::kDriver) p.state_ = &state;
+  p.root_ = Compiler(&p, schema, state, context).Lower(e);
+  return p;
+}
 
-StatusOr<Value> EvalCallExpr(const CExpr::Call& call, const EvalCtx& ctx) {
-  std::vector<Value> args;
-  for (const auto& a : call.args) {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(a, ctx));
-    args.push_back(std::move(v));
+RowProgram RowProgram::CompileKey(const std::vector<CExprPtr>& exprs,
+                                  const std::vector<std::string>& schema,
+                                  const ExecState& state) {
+  if (exprs.size() == 1) return Compile(exprs[0], schema, state);
+  RowProgram p;
+  p.root_ = Compiler(&p, schema, state, Context::kRow).LowerTuple(exprs);
+  return p;
+}
+
+const Value* RowProgram::Eval(const ValueVec& row, Value* scratch,
+                              Status* error) const {
+  return EvalNode(root_, row, scratch, error);
+}
+
+StatusOr<Value> RowProgram::Run(const ValueVec& row) const {
+  Value scratch;
+  Status error;
+  const Value* v = Eval(row, &scratch, &error);
+  if (v == nullptr) return error;
+  return Take(v, &scratch);
+}
+
+bool RowProgram::is_range() const {
+  return nodes_[static_cast<size_t>(root_)].op == Op::kRange;
+}
+
+Status RowProgram::EvalRange(const ValueVec& row, int64_t* lo,
+                             int64_t* hi) const {
+  return RangeBounds(nodes_[static_cast<size_t>(root_)], row, lo, hi);
+}
+
+Status RowProgram::RangeBounds(const Node& node, const ValueVec& row,
+                               int64_t* lo, int64_t* hi) const {
+  Status error;
+  Value lt, ht;
+  const Value* l = EvalNode(node.kids[0], row, &lt, &error);
+  if (l == nullptr) return error;
+  const Value* h = EvalNode(node.kids[1], row, &ht, &error);
+  if (h == nullptr) return error;
+  if (!l->is_int() || !h->is_int()) {
+    return Status::RuntimeError("range bounds must be integers");
   }
-  auto num = [&](size_t i) { return args[i].ToDouble(); };
-  auto need_numeric = [&](size_t n) -> Status {
-    if (args.size() != n) {
-      return Status::RuntimeError(StrCat("builtin ", call.function,
-                                         " expects ", n, " argument(s)"));
-    }
-    for (const Value& v : args) {
-      if (!v.is_numeric()) {
-        return Status::RuntimeError(StrCat("builtin ", call.function,
-                                           " applied to ", v.ToString()));
+  *lo = l->AsInt();
+  *hi = h->AsInt();
+  // Unsigned difference: hi - lo may not fit in int64.
+  if (*hi >= *lo && static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo) >=
+                        static_cast<uint64_t>(kMaxLocalRange)) {
+    return Status::RuntimeError("range too large to materialize per-row");
+  }
+  return Status::OK();
+}
+
+const Value* RowProgram::EvalNode(int32_t n, const ValueVec& row, Value* out,
+                                  Status* error) const {
+  const Node& node = nodes_[static_cast<size_t>(n)];
+  switch (node.op) {
+    case Op::kSlot:
+      return &row[static_cast<size_t>(node.index)];
+    case Op::kConst:
+      return &consts_[static_cast<size_t>(node.index)];
+    case Op::kRaise:
+      *error = Status::RuntimeError(node.text);
+      return nullptr;
+    case Op::kBin: {
+      Value lt, rt;
+      const Value* l = EvalNode(node.kids[0], row, &lt, error);
+      if (l == nullptr) return nullptr;
+      // Short-circuit booleans.
+      if (node.bin == BinOp::kAnd && l->is_bool() && !l->AsBool()) {
+        *out = Value::MakeBool(false);
+        return out;
       }
+      if (node.bin == BinOp::kOr && l->is_bool() && l->AsBool()) {
+        *out = Value::MakeBool(true);
+        return out;
+      }
+      const Value* r = EvalNode(node.kids[1], row, &rt, error);
+      if (r == nullptr) return nullptr;
+      return Deliver(runtime::EvalBinOp(node.bin, *l, *r), out, error);
     }
-    return Status::OK();
+    case Op::kUn: {
+      Value vt;
+      const Value* v = EvalNode(node.kids[0], row, &vt, error);
+      if (v == nullptr) return nullptr;
+      return Deliver(runtime::EvalUnOp(node.un, *v), out, error);
+    }
+    case Op::kTuple:
+    case Op::kBag: {
+      ValueVec elems;
+      elems.reserve(node.kids.size());
+      for (int32_t k : node.kids) {
+        Value t;
+        const Value* v = EvalNode(k, row, &t, error);
+        if (v == nullptr) return nullptr;
+        elems.push_back(Take(v, &t));
+      }
+      *out = node.op == Op::kTuple ? Value::MakeTuple(std::move(elems))
+                                   : Value::MakeBag(std::move(elems));
+      return out;
+    }
+    case Op::kRecord: {
+      runtime::FieldVec fields;
+      fields.reserve(node.kids.size());
+      for (size_t i = 0; i < node.kids.size(); ++i) {
+        Value t;
+        const Value* v = EvalNode(node.kids[i], row, &t, error);
+        if (v == nullptr) return nullptr;
+        fields.emplace_back(node.names[i], Take(v, &t));
+      }
+      *out = Value::MakeRecord(std::move(fields));
+      return out;
+    }
+    case Op::kProj: {
+      Value bt;
+      const Value* base = EvalNode(node.kids[0], row, &bt, error);
+      if (base == nullptr) return nullptr;
+      const Value* part = nullptr;
+      if (base->is_record()) {
+        part = base->FindField(node.text);
+        if (part == nullptr) {
+          *error = Status::RuntimeError(StrCat("record ", base->ToString(),
+                                               " has no field '", node.text,
+                                               "'"));
+          return nullptr;
+        }
+      } else if (base->is_tuple() && node.index >= 1 &&
+                 static_cast<size_t>(node.index) <= base->tuple().size()) {
+        part = &base->tuple()[static_cast<size_t>(node.index) - 1];
+      } else {
+        *error = Status::RuntimeError(StrCat("cannot project .", node.text,
+                                             " out of ", base->ToString()));
+        return nullptr;
+      }
+      // A part of a borrowed base is borrowed too; a part of a computed
+      // base dies with it, so it is copied out.
+      if (base != &bt) return part;
+      *out = *part;
+      return out;
+    }
+    case Op::kCall:
+      return EvalCall(node, row, out, error);
+    case Op::kReduce: {
+      Value bt;
+      const Value* bag = EvalNode(node.kids[0], row, &bt, error);
+      if (bag == nullptr) return nullptr;
+      if (!bag->is_bag()) {
+        *error = Status::RuntimeError(
+            StrCat("reduction ", runtime::BinOpName(node.bin),
+                   "/ applied to ", bag->ToString()));
+        return nullptr;
+      }
+      return Deliver(runtime::ReduceBag(node.bin, bag->bag()), out, error);
+    }
+    case Op::kRange: {
+      int64_t lo = 0, hi = 0;
+      Status st = RangeBounds(node, row, &lo, &hi);
+      if (!st.ok()) {
+        *error = std::move(st);
+        return nullptr;
+      }
+      ValueVec elems;
+      for (int64_t i = lo; i <= hi; ++i) elems.push_back(Value::MakeInt(i));
+      *out = Value::MakeBag(std::move(elems));
+      return out;
+    }
+    case Op::kArray:
+    case Op::kNested:
+    case Op::kReduceNested:
+    case Op::kMerge:
+      return EvalDriver(node, out, error);
+  }
+  return nullptr;
+}
+
+const Value* RowProgram::EvalCall(const Node& node, const ValueVec& row,
+                                  Value* out, Status* error) const {
+  // Every builtin takes at most three arguments; the rest of a longer
+  // argument list is evaluated (its errors win) and then rejected.
+  constexpr size_t kMaxArgs = 3;
+  Value held[kMaxArgs];
+  const Value* args[kMaxArgs] = {nullptr, nullptr, nullptr};
+  const size_t nargs = node.kids.size();
+  for (size_t i = 0; i < nargs; ++i) {
+    Value extra;
+    Value* slot = i < kMaxArgs ? &held[i] : &extra;
+    const Value* v = EvalNode(node.kids[i], row, slot, error);
+    if (v == nullptr) return nullptr;
+    if (i < kMaxArgs) args[i] = v;
+  }
+  auto fail = [&](std::string message) -> const Value* {
+    *error = Status::RuntimeError(std::move(message));
+    return nullptr;
   };
-  if (call.function == "inRange") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(3));
-    return Value::MakeBool(num(0) >= num(1) && num(0) <= num(2));
+  size_t arity = 0;
+  switch (node.builtin) {
+    case Builtin::kInRange: arity = 3; break;
+    case Builtin::kPow: arity = 2; break;
+    case Builtin::kUnknown:
+      return fail(StrCat("unknown builtin '", node.text, "'"));
+    default: arity = 1; break;
   }
-  if (call.function == "sqrt") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::sqrt(num(0)));
+  if (nargs != arity) {
+    return fail(StrCat("builtin ", node.text, " expects ", arity,
+                       " argument(s)"));
   }
-  if (call.function == "abs") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    if (args[0].is_int()) return Value::MakeInt(std::llabs(args[0].AsInt()));
-    return Value::MakeDouble(std::fabs(num(0)));
+  for (size_t i = 0; i < arity; ++i) {
+    if (!args[i]->is_numeric()) {
+      return fail(StrCat("builtin ", node.text, " applied to ",
+                         args[i]->ToString()));
+    }
   }
-  if (call.function == "exp") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::exp(num(0)));
+  auto num = [&](size_t i) { return args[i]->ToDouble(); };
+  switch (node.builtin) {
+    case Builtin::kInRange:
+      *out = Value::MakeBool(num(0) >= num(1) && num(0) <= num(2));
+      break;
+    case Builtin::kSqrt: *out = Value::MakeDouble(std::sqrt(num(0))); break;
+    case Builtin::kAbs:
+      *out = args[0]->is_int() ? Value::MakeInt(std::llabs(args[0]->AsInt()))
+                               : Value::MakeDouble(std::fabs(num(0)));
+      break;
+    case Builtin::kExp: *out = Value::MakeDouble(std::exp(num(0))); break;
+    case Builtin::kLog: *out = Value::MakeDouble(std::log(num(0))); break;
+    case Builtin::kPow:
+      *out = Value::MakeDouble(std::pow(num(0), num(1)));
+      break;
+    case Builtin::kFloor:
+      *out = Value::MakeDouble(std::floor(num(0)));
+      break;
+    case Builtin::kUnknown: break;
   }
-  if (call.function == "log") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::log(num(0)));
-  }
-  if (call.function == "pow") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(2));
-    return Value::MakeDouble(std::pow(num(0), num(1)));
-  }
-  if (call.function == "floor") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::floor(num(0)));
-  }
-  return Status::RuntimeError(
-      StrCat("unknown builtin '", call.function, "'"));
+  return out;
 }
 
-StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx) {
-  if (e->is<CExpr::Var>()) {
-    const std::string& name = e->as<CExpr::Var>().name;
-    if (ctx.schema != nullptr) {
-      for (size_t i = 0; i < ctx.schema->size(); ++i) {
-        if ((*ctx.schema)[i] == name) return (*ctx.values)[i];
+const Value* RowProgram::EvalDriver(const Node& node, Value* out,
+                                    Status* error) const {
+  const ExecState& state = *state_;
+  auto run = [&]() -> StatusOr<Value> {
+    switch (node.op) {
+      case Op::kArray: {
+        DIABLO_ASSIGN_OR_RETURN(
+            ValueVec rows, state.engine->Collect(state.arrays->at(node.text)));
+        return Value::MakeBag(std::move(rows));
+      }
+      case Op::kReduceNested: {
+        // Reduce a distributed comprehension without collecting it. The
+        // BinOp overload lets the engine fold with native arithmetic
+        // (bit-identical to EvalBinOp).
+        DIABLO_ASSIGN_OR_RETURN(
+            CompPlan sub,
+            BuildPlan(node.expr->as<CExpr::Nested>().comp, state));
+        DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, state));
+        DIABLO_ASSIGN_OR_RETURN(
+            std::optional<Value> acc,
+            state.engine->Reduce(
+                ds, node.bin,
+                StrCat("reduce[", runtime::BinOpName(node.bin), "]")));
+        if (acc.has_value()) return *acc;
+        return runtime::MonoidIdentity(node.bin, Value::MakeInt(0));
+      }
+      case Op::kNested: {
+        DIABLO_ASSIGN_OR_RETURN(
+            CompPlan sub,
+            BuildPlan(node.expr->as<CExpr::Nested>().comp, state));
+        DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, state));
+        DIABLO_ASSIGN_OR_RETURN(ValueVec rows, state.engine->Collect(ds));
+        return Value::MakeBag(std::move(rows));
+      }
+      default: {
+        DIABLO_ASSIGN_OR_RETURN(Dataset ds, EvalArrayExpr(node.expr, state));
+        DIABLO_ASSIGN_OR_RETURN(ValueVec rows, state.engine->Collect(ds));
+        return Value::MakeBag(std::move(rows));
       }
     }
-    if (ctx.state->scalars != nullptr) {
-      auto it = ctx.state->scalars->find(name);
-      if (it != ctx.state->scalars->end()) return it->second;
-    }
-    if (ctx.state->arrays != nullptr &&
-        ctx.state->arrays->count(name) != 0) {
-      if (!ctx.allow_subplans) {
-        return Status::RuntimeError(
-            StrCat("distributed array '", name,
-                   "' used as a value inside a row expression"));
-      }
-      // Materialize the array as a bag of pairs (driver context only).
-      DIABLO_ASSIGN_OR_RETURN(
-          ValueVec rows,
-          ctx.state->engine->Collect(ctx.state->arrays->at(name)));
-      return Value::MakeBag(std::move(rows));
-    }
-    return Status::RuntimeError(StrCat("unbound variable '", name, "'"));
-  }
-  if (e->is<CExpr::IntConst>()) {
-    return Value::MakeInt(e->as<CExpr::IntConst>().value);
-  }
-  if (e->is<CExpr::DoubleConst>()) {
-    return Value::MakeDouble(e->as<CExpr::DoubleConst>().value);
-  }
-  if (e->is<CExpr::BoolConst>()) {
-    return Value::MakeBool(e->as<CExpr::BoolConst>().value);
-  }
-  if (e->is<CExpr::StringConst>()) {
-    return Value::MakeString(e->as<CExpr::StringConst>().value);
-  }
-  if (e->is<CExpr::Bin>()) {
-    const auto& b = e->as<CExpr::Bin>();
-    DIABLO_ASSIGN_OR_RETURN(Value l, EvalExpr(b.lhs, ctx));
-    // Short-circuit booleans.
-    if (b.op == BinOp::kAnd && l.is_bool() && !l.AsBool()) {
-      return Value::MakeBool(false);
-    }
-    if (b.op == BinOp::kOr && l.is_bool() && l.AsBool()) {
-      return Value::MakeBool(true);
-    }
-    DIABLO_ASSIGN_OR_RETURN(Value r, EvalExpr(b.rhs, ctx));
-    return runtime::EvalBinOp(b.op, l, r);
-  }
-  if (e->is<CExpr::Un>()) {
-    const auto& u = e->as<CExpr::Un>();
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(u.operand, ctx));
-    return runtime::EvalUnOp(u.op, v);
-  }
-  if (e->is<CExpr::TupleCons>()) {
-    ValueVec elems;
-    for (const auto& c : e->as<CExpr::TupleCons>().elems) {
-      DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(c, ctx));
-      elems.push_back(std::move(v));
-    }
-    return Value::MakeTuple(std::move(elems));
-  }
-  if (e->is<CExpr::RecordCons>()) {
-    runtime::FieldVec fields;
-    for (const auto& [n, c] : e->as<CExpr::RecordCons>().fields) {
-      DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(c, ctx));
-      fields.emplace_back(n, std::move(v));
-    }
-    return Value::MakeRecord(std::move(fields));
-  }
-  if (e->is<CExpr::Proj>()) {
-    const auto& p = e->as<CExpr::Proj>();
-    DIABLO_ASSIGN_OR_RETURN(Value base, EvalExpr(p.base, ctx));
-    if (base.is_record()) {
-      const Value* f = base.FindField(p.field);
-      if (f == nullptr) {
-        return Status::RuntimeError(StrCat("record ", base.ToString(),
-                                           " has no field '", p.field, "'"));
-      }
-      return *f;
-    }
-    if (base.is_tuple() && p.field.size() >= 2 && p.field[0] == '_') {
-      int idx = std::atoi(p.field.c_str() + 1);
-      if (idx >= 1 && static_cast<size_t>(idx) <= base.tuple().size()) {
-        return base.tuple()[static_cast<size_t>(idx) - 1];
-      }
-    }
-    return Status::RuntimeError(StrCat("cannot project .", p.field,
-                                       " out of ", base.ToString()));
-  }
-  if (e->is<CExpr::Call>()) return EvalCallExpr(e->as<CExpr::Call>(), ctx);
-  if (e->is<CExpr::Reduce>()) {
-    const auto& r = e->as<CExpr::Reduce>();
-    // Driver context: reduce a distributed comprehension without
-    // collecting it.
-    if (ctx.allow_subplans && r.arg->is<CExpr::Nested>()) {
-      DIABLO_ASSIGN_OR_RETURN(
-          CompPlan sub,
-          BuildPlan(r.arg->as<CExpr::Nested>().comp, *ctx.state));
-      DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, *ctx.state));
-      BinOp op = r.op;
-      // The BinOp overload lets the engine fold with native arithmetic
-      // (bit-identical to EvalBinOp).
-      DIABLO_ASSIGN_OR_RETURN(
-          std::optional<Value> acc,
-          ctx.state->engine->Reduce(
-              ds, op, StrCat("reduce[", runtime::BinOpName(op), "]")));
-      if (acc.has_value()) return *acc;
-      return runtime::MonoidIdentity(op, Value::MakeInt(0));
-    }
-    DIABLO_ASSIGN_OR_RETURN(Value bag, EvalExpr(r.arg, ctx));
-    if (!bag.is_bag()) {
-      return Status::RuntimeError(
-          StrCat("reduction ", runtime::BinOpName(r.op), "/ applied to ",
-                 bag.ToString()));
-    }
-    return runtime::ReduceBag(r.op, bag.bag());
-  }
-  if (e->is<CExpr::Nested>()) {
-    if (!ctx.allow_subplans) {
-      return Status::RuntimeError(
-          "nested comprehension in a row expression (normalizer should "
-          "have flattened it)");
-    }
-    DIABLO_ASSIGN_OR_RETURN(
-        CompPlan sub, BuildPlan(e->as<CExpr::Nested>().comp, *ctx.state));
-    DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, *ctx.state));
-    DIABLO_ASSIGN_OR_RETURN(ValueVec rows, ctx.state->engine->Collect(ds));
-    return Value::MakeBag(std::move(rows));
-  }
-  if (e->is<CExpr::Range>()) {
-    const auto& r = e->as<CExpr::Range>();
-    DIABLO_ASSIGN_OR_RETURN(Value lo, EvalExpr(r.lo, ctx));
-    DIABLO_ASSIGN_OR_RETURN(Value hi, EvalExpr(r.hi, ctx));
-    if (!lo.is_int() || !hi.is_int()) {
-      return Status::RuntimeError("range bounds must be integers");
-    }
-    int64_t a = lo.AsInt(), b = hi.AsInt();
-    if (b - a + 1 > kMaxLocalRange) {
-      return Status::RuntimeError("range too large to materialize per-row");
-    }
-    ValueVec elems;
-    for (int64_t i = a; i <= b; ++i) elems.push_back(Value::MakeInt(i));
-    return Value::MakeBag(std::move(elems));
-  }
-  if (e->is<CExpr::Merge>()) {
-    if (!ctx.allow_subplans) {
-      return Status::RuntimeError("array merge in a row expression");
-    }
-    DIABLO_ASSIGN_OR_RETURN(Dataset ds, EvalArrayExpr(e, *ctx.state));
-    DIABLO_ASSIGN_OR_RETURN(ValueVec rows, ctx.state->engine->Collect(ds));
-    return Value::MakeBag(std::move(rows));
-  }
-  // BagCons.
-  ValueVec elems;
-  for (const auto& c : e->as<CExpr::BagCons>().elems) {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(c, ctx));
-    elems.push_back(std::move(v));
-  }
-  return Value::MakeBag(std::move(elems));
+  };
+  return Deliver(run(), out, error);
 }
 
-// --------------------------- plan execution ---------------------------------
+namespace {
 
-/// Builds a row-evaluation callback for engine operators.
-EvalCtx RowCtx(const std::vector<std::string>& schema, const ValueVec& values,
-               const ExecState& state) {
-  return EvalCtx{&schema, &values, &state, /*allow_subplans=*/false};
+using ProgramPtr = std::shared_ptr<const RowProgram>;
+
+/// Compiles a per-row program for an engine closure to share.
+ProgramPtr CompileRow(const CExprPtr& e,
+                      const std::vector<std::string>& schema,
+                      const ExecState& state) {
+  return std::make_shared<const RowProgram>(
+      RowProgram::Compile(e, schema, state));
+}
+
+ProgramPtr CompileRowKey(const std::vector<CExprPtr>& exprs,
+                         const std::vector<std::string>& schema,
+                         const ExecState& state) {
+  return std::make_shared<const RowProgram>(
+      RowProgram::CompileKey(exprs, schema, state));
 }
 
 }  // namespace
@@ -292,8 +565,11 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
   std::optional<Dataset> ds;
   std::vector<std::string> schema;  // schema of rows in ds
 
-  auto driver_ctx = [&]() {
-    return EvalCtx{&prefix_schema, &prefix, &state, /*allow_subplans=*/true};
+  // Driver-side expressions see the prefix bound so far.
+  auto eval_driver = [&](const CExprPtr& e) {
+    return RowProgram::Compile(e, prefix_schema, state,
+                               RowProgram::Context::kDriver)
+        .Run(prefix);
   };
 
   // Seeds the distributed stream from the driver prefix when a wide
@@ -310,27 +586,28 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
     switch (op.kind) {
       case StreamOp::Kind::kLet: {
         if (!ds.has_value()) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx()));
+          DIABLO_ASSIGN_OR_RETURN(Value v, eval_driver(op.expr));
           DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, v, &prefix));
           for (const std::string& name : op.pattern.Vars()) {
             prefix_schema.push_back(name);
           }
           break;
         }
-        const std::vector<std::string> in_schema = schema;
         const Pattern pattern = op.pattern;
-        const CExprPtr expr = op.expr;
+        const size_t width = pattern.Vars().size();
+        ProgramPtr expr = CompileRow(op.expr, schema, state);
         DIABLO_ASSIGN_OR_RETURN(
             ds, engine.Map(
                     *ds,
-                    [&state, in_schema, pattern, expr](
-                        const Value& row) -> StatusOr<Value> {
-                      DIABLO_ASSIGN_OR_RETURN(
-                          Value v,
-                          EvalExpr(expr, RowCtx(in_schema, row.tuple(),
-                                                state)));
-                      ValueVec out = row.tuple();
-                      DIABLO_RETURN_IF_ERROR(BindPattern(pattern, v, &out));
+                    [pattern, width,
+                     expr](const Value& row) -> StatusOr<Value> {
+                      Value scratch;
+                      Status error;
+                      const Value* v = expr->Eval(row.tuple(), &scratch,
+                                                  &error);
+                      if (v == nullptr) return error;
+                      ValueVec out = Widened(row.tuple(), width);
+                      DIABLO_RETURN_IF_ERROR(BindPattern(pattern, *v, &out));
                       return Value::MakeTuple(std::move(out));
                     },
                     "let"));
@@ -338,7 +615,7 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
       }
       case StreamOp::Kind::kFilter: {
         if (!ds.has_value()) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx()));
+          DIABLO_ASSIGN_OR_RETURN(Value v, eval_driver(op.expr));
           if (!v.is_bool()) {
             return Status::RuntimeError(
                 StrCat("condition evaluated to ", v.ToString()));
@@ -346,22 +623,21 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
           if (!v.AsBool()) return Dataset();  // statically empty
           break;
         }
-        const std::vector<std::string> in_schema = schema;
-        const CExprPtr expr = op.expr;
+        ProgramPtr expr = CompileRow(op.expr, schema, state);
         DIABLO_ASSIGN_OR_RETURN(
             ds, engine.Filter(
                     *ds,
-                    [&state, in_schema, expr](
-                        const Value& row) -> StatusOr<bool> {
-                      DIABLO_ASSIGN_OR_RETURN(
-                          Value v,
-                          EvalExpr(expr, RowCtx(in_schema, row.tuple(),
-                                                state)));
-                      if (!v.is_bool()) {
-                        return Status::RuntimeError(
-                            StrCat("condition evaluated to ", v.ToString()));
+                    [expr](const Value& row) -> StatusOr<bool> {
+                      Value scratch;
+                      Status error;
+                      const Value* v = expr->Eval(row.tuple(), &scratch,
+                                                  &error);
+                      if (v == nullptr) return error;
+                      if (!v->is_bool()) {
+                        return Status::RuntimeError(StrCat(
+                            "condition evaluated to ", v->ToString()));
                       }
-                      return v.AsBool();
+                      return v->AsBool();
                     },
                     "filter"));
         break;
@@ -373,12 +649,13 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
               StrCat("unknown array '", op.array, "'"));
         }
         const Pattern pattern = op.pattern;
+        const size_t width = pattern.Vars().size();
         const ValueVec pre = prefix;
         DIABLO_ASSIGN_OR_RETURN(
             ds, engine.Map(
                     it->second,
-                    [pattern, pre](const Value& row) -> StatusOr<Value> {
-                      ValueVec out = pre;
+                    [pattern, width, pre](const Value& row) -> StatusOr<Value> {
+                      ValueVec out = Widened(pre, width);
                       DIABLO_RETURN_IF_ERROR(BindPattern(pattern, row, &out));
                       return Value::MakeTuple(std::move(out));
                     },
@@ -386,8 +663,8 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
         break;
       }
       case StreamOp::Kind::kSourceRange: {
-        DIABLO_ASSIGN_OR_RETURN(Value lo, EvalExpr(op.expr, driver_ctx()));
-        DIABLO_ASSIGN_OR_RETURN(Value hi, EvalExpr(op.expr2, driver_ctx()));
+        DIABLO_ASSIGN_OR_RETURN(Value lo, eval_driver(op.expr));
+        DIABLO_ASSIGN_OR_RETURN(Value hi, eval_driver(op.expr2));
         if (!lo.is_int() || !hi.is_int()) {
           return Status::RuntimeError("range bounds must be integers");
         }
@@ -397,7 +674,7 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
             ds, engine.Map(
                     range,
                     [pre](const Value& row) -> StatusOr<Value> {
-                      ValueVec out = pre;
+                      ValueVec out = Widened(pre, 1);
                       out.push_back(row);
                       return Value::MakeTuple(std::move(out));
                     },
@@ -406,9 +683,10 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
       }
       case StreamOp::Kind::kIterateBag: {
         const Pattern pattern = op.pattern;
+        const size_t width = pattern.Vars().size();
         const CExprPtr expr = op.expr;
         if (!ds.has_value()) {
-          DIABLO_ASSIGN_OR_RETURN(Value bag, EvalExpr(expr, driver_ctx()));
+          DIABLO_ASSIGN_OR_RETURN(Value bag, eval_driver(expr));
           if (!bag.is_bag()) {
             return Status::RuntimeError(
                 StrCat("generator domain is not a bag: ", bag.ToString()));
@@ -416,34 +694,54 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
           ValueVec rows;
           rows.reserve(bag.bag().size());
           for (const Value& elem : bag.bag()) {
-            ValueVec out = prefix;
+            ValueVec out = Widened(prefix, width);
             DIABLO_RETURN_IF_ERROR(BindPattern(pattern, elem, &out));
             rows.push_back(Value::MakeTuple(std::move(out)));
           }
           ds = engine.Parallelize(std::move(rows));
             break;
         }
-        const std::vector<std::string> in_schema = schema;
+        ProgramPtr domain = CompileRow(expr, schema, state);
         DIABLO_ASSIGN_OR_RETURN(
             ds, engine.FlatMap(
                     *ds,
-                    [&state, in_schema, pattern, expr](
-                        const Value& row) -> StatusOr<ValueVec> {
-                      EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                      DIABLO_ASSIGN_OR_RETURN(Value bag,
-                                              EvalExpr(expr, ctx));
-                      if (!bag.is_bag()) {
+                    [pattern, width,
+                     domain](const Value& row) -> StatusOr<ValueVec> {
+                      auto bind = [&](const Value& elem,
+                                      ValueVec* out) -> Status {
+                        ValueVec r = Widened(row.tuple(), width);
+                        DIABLO_RETURN_IF_ERROR(BindPattern(pattern, elem, &r));
+                        out->push_back(Value::MakeTuple(std::move(r)));
+                        return Status::OK();
+                      };
+                      ValueVec out;
+                      if (domain->is_range()) {
+                        // Iterate the ints directly; no per-row bag.
+                        int64_t lo = 0, hi = 0;
+                        DIABLO_RETURN_IF_ERROR(
+                            domain->EvalRange(row.tuple(), &lo, &hi));
+                        if (hi >= lo) {
+                          out.reserve(static_cast<size_t>(hi - lo + 1));
+                        }
+                        for (int64_t i = lo; i <= hi; ++i) {
+                          DIABLO_RETURN_IF_ERROR(
+                              bind(Value::MakeInt(i), &out));
+                        }
+                        return out;
+                      }
+                      Value scratch;
+                      Status error;
+                      const Value* bag = domain->Eval(row.tuple(), &scratch,
+                                                      &error);
+                      if (bag == nullptr) return error;
+                      if (!bag->is_bag()) {
                         return Status::RuntimeError(StrCat(
                             "generator domain is not a bag: ",
-                            bag.ToString()));
+                            bag->ToString()));
                       }
-                      ValueVec out;
-                      out.reserve(bag.bag().size());
-                      for (const Value& elem : bag.bag()) {
-                        ValueVec r = row.tuple();
-                        DIABLO_RETURN_IF_ERROR(
-                            BindPattern(pattern, elem, &r));
-                        out.push_back(Value::MakeTuple(std::move(r)));
+                      out.reserve(bag->bag().size());
+                      for (const Value& elem : bag->bag()) {
+                        DIABLO_RETURN_IF_ERROR(bind(elem, &out));
                       }
                       return out;
                     },
@@ -457,28 +755,20 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
           return Status::RuntimeError(
               StrCat("unknown array '", op.array, "'"));
         }
-        const std::vector<std::string> in_schema = schema;
-        const std::vector<CExprPtr> left_keys = op.left_keys;
-        const std::vector<CExprPtr> right_keys = op.right_keys;
         const Pattern pattern = op.pattern;
-        const std::vector<std::string> right_schema = pattern.Vars();
+        ProgramPtr left_key = CompileRowKey(op.left_keys, schema, state);
+        ProgramPtr right_key =
+            CompileRowKey(op.right_keys, pattern.Vars(), state);
+        const size_t right_width = pattern.Vars().size();
         // Key the existing stream.
         DIABLO_ASSIGN_OR_RETURN(
             Dataset left,
             engine.Map(
                 *ds,
-                [&state, in_schema, left_keys](
-                    const Value& row) -> StatusOr<Value> {
-                  EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                  ValueVec key;
-                  for (const auto& ke : left_keys) {
-                    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-                    key.push_back(std::move(v));
-                  }
-                  return Value::MakePair(
-                      key.size() == 1 ? key[0]
-                                      : Value::MakeTuple(std::move(key)),
-                      row);
+                [left_key](const Value& row) -> StatusOr<Value> {
+                  DIABLO_ASSIGN_OR_RETURN(Value key,
+                                          left_key->Run(row.tuple()));
+                  return Value::MakePair(std::move(key), row);
                 },
                 "joinKeyL"));
         // Key the new generator.
@@ -486,20 +776,14 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
             Dataset right,
             engine.Map(
                 it->second,
-                [&state, right_schema, right_keys, pattern](
-                    const Value& row) -> StatusOr<Value> {
+                [right_key, pattern,
+                 right_width](const Value& row) -> StatusOr<Value> {
                   ValueVec bound;
+                  bound.reserve(right_width);
                   DIABLO_RETURN_IF_ERROR(BindPattern(pattern, row, &bound));
-                  EvalCtx ctx = RowCtx(right_schema, bound, state);
-                  ValueVec key;
-                  for (const auto& ke : right_keys) {
-                    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-                    key.push_back(std::move(v));
-                  }
-                  return Value::MakePair(
-                      key.size() == 1 ? key[0]
-                                      : Value::MakeTuple(std::move(key)),
-                      Value::MakeTuple(std::move(bound)));
+                  DIABLO_ASSIGN_OR_RETURN(Value key, right_key->Run(bound));
+                  return Value::MakePair(std::move(key),
+                                         Value::MakeTuple(std::move(bound)));
                 },
                 StrCat("joinKeyR[", op.array, "]")));
         DIABLO_ASSIGN_OR_RETURN(
@@ -510,10 +794,10 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
                     joined,
                     [](const Value& row) -> StatusOr<Value> {
                       const Value& pair = row.tuple()[1];
-                      ValueVec out = pair.tuple()[0].tuple();
-                      for (const Value& v : pair.tuple()[1].tuple()) {
-                        out.push_back(v);
-                      }
+                      const ValueVec& bound = pair.tuple()[1].tuple();
+                      ValueVec out =
+                          Widened(pair.tuple()[0].tuple(), bound.size());
+                      out.insert(out.end(), bound.begin(), bound.end());
                       return Value::MakeTuple(std::move(out));
                     },
                     "joinMerge"));
@@ -528,7 +812,8 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
         }
         // Build a driver-side hash table keyed by the right key exprs,
         // shipped (conceptually) to every worker.
-        const std::vector<std::string> right_schema = op.pattern.Vars();
+        const RowProgram right_key =
+            RowProgram::CompileKey(op.right_keys, op.pattern.Vars(), state);
         auto table = std::make_shared<
             std::unordered_map<Value, std::vector<ValueVec>,
                                runtime::ValueHash>>();
@@ -537,39 +822,26 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
         for (const Value& row : build_rows) {
           ValueVec bound;
           DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, row, &bound));
-          EvalCtx ctx = RowCtx(right_schema, bound, state);
-          ValueVec key;
-          for (const auto& ke : op.right_keys) {
-            DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-            key.push_back(std::move(v));
-          }
-          Value k = key.size() == 1 ? key[0]
-                                    : Value::MakeTuple(std::move(key));
+          DIABLO_ASSIGN_OR_RETURN(Value k, right_key.Run(bound));
           (*table)[k].push_back(std::move(bound));
         }
-        const std::vector<std::string> in_schema = schema;
-        const std::vector<CExprPtr> left_keys = op.left_keys;
+        ProgramPtr left_key = CompileRowKey(op.left_keys, schema, state);
         int64_t build_bytes = it->second.TotalBytes();
         DIABLO_ASSIGN_OR_RETURN(
             ds, engine.FlatMap(
                     *ds,
-                    [&state, in_schema, left_keys, table](
-                        const Value& row) -> StatusOr<ValueVec> {
-                      EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                      ValueVec key;
-                      for (const auto& ke : left_keys) {
-                        DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-                        key.push_back(std::move(v));
-                      }
-                      Value k = key.size() == 1
-                                    ? key[0]
-                                    : Value::MakeTuple(std::move(key));
+                    [left_key, table](const Value& row) -> StatusOr<ValueVec> {
+                      Value scratch;
+                      Status error;
+                      const Value* k = left_key->Eval(row.tuple(), &scratch,
+                                                      &error);
+                      if (k == nullptr) return error;
                       ValueVec out;
-                      auto hit = table->find(k);
+                      auto hit = table->find(*k);
                       if (hit == table->end()) return out;
                       for (const ValueVec& bound : hit->second) {
-                        ValueVec r = row.tuple();
-                        for (const Value& v : bound) r.push_back(v);
+                        ValueVec r = Widened(row.tuple(), bound.size());
+                        r.insert(r.end(), bound.begin(), bound.end());
                         out.push_back(Value::MakeTuple(std::move(r)));
                       }
                       return out;
@@ -616,8 +888,8 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
                       ValueVec out;
                       out.reserve(shared->size());
                       for (const ValueVec& extra : *shared) {
-                        ValueVec r = row.tuple();
-                        for (const Value& v : extra) r.push_back(v);
+                        ValueVec r = Widened(row.tuple(), extra.size());
+                        r.insert(r.end(), extra.begin(), extra.end());
                         out.push_back(Value::MakeTuple(std::move(r)));
                       }
                       return out;
@@ -639,30 +911,27 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
       }
       case StreamOp::Kind::kGroupBy: {
         ensure_ds();
-        const std::vector<std::string> in_schema = schema;
-        const CExprPtr key_expr = op.expr;
-        const std::vector<std::string> lifted = op.lifted;
+        const std::vector<std::string>& lifted = op.lifted;
         std::vector<size_t> positions;
         for (const std::string& v : lifted) {
-          for (size_t i = 0; i < in_schema.size(); ++i) {
-            if (in_schema[i] == v) positions.push_back(i);
+          for (size_t i = 0; i < schema.size(); ++i) {
+            if (schema[i] == v) positions.push_back(i);
           }
         }
+        ProgramPtr key_expr = CompileRow(op.expr, schema, state);
         DIABLO_ASSIGN_OR_RETURN(
             Dataset keyed,
             engine.Map(
                 *ds,
-                [&state, in_schema, key_expr, positions](
-                    const Value& row) -> StatusOr<Value> {
-                  EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
+                [key_expr, positions](const Value& row) -> StatusOr<Value> {
                   DIABLO_ASSIGN_OR_RETURN(Value key,
-                                          EvalExpr(key_expr, ctx));
+                                          key_expr->Run(row.tuple()));
                   ValueVec payload;
                   payload.reserve(positions.size());
                   for (size_t p : positions) {
                     payload.push_back(row.tuple()[p]);
                   }
-                  return Value::MakePair(key,
+                  return Value::MakePair(std::move(key),
                                          Value::MakeTuple(std::move(payload)));
                 },
                 "groupKey"));
@@ -693,21 +962,18 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
       }
       case StreamOp::Kind::kReduceByKey: {
         ensure_ds();
-        const std::vector<std::string> in_schema = schema;
-        const CExprPtr key_expr = op.expr;
-        const CExprPtr value_expr = op.reduce_value;
+        ProgramPtr key_expr = CompileRow(op.expr, schema, state);
+        ProgramPtr value_expr = CompileRow(op.reduce_value, schema, state);
         DIABLO_ASSIGN_OR_RETURN(
             Dataset keyed,
             engine.Map(
                 *ds,
-                [&state, in_schema, key_expr, value_expr](
-                    const Value& row) -> StatusOr<Value> {
-                  EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
+                [key_expr, value_expr](const Value& row) -> StatusOr<Value> {
                   DIABLO_ASSIGN_OR_RETURN(Value key,
-                                          EvalExpr(key_expr, ctx));
+                                          key_expr->Run(row.tuple()));
                   DIABLO_ASSIGN_OR_RETURN(Value val,
-                                          EvalExpr(value_expr, ctx));
-                  return Value::MakePair(key, val);
+                                          value_expr->Run(row.tuple()));
+                  return Value::MakePair(std::move(key), std::move(val));
                 },
                 "reduceKey"));
         DIABLO_ASSIGN_OR_RETURN(
@@ -736,15 +1002,14 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
 
   // Yield the head per surviving row.
   if (!ds.has_value()) {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(plan.head, driver_ctx()));
+    DIABLO_ASSIGN_OR_RETURN(Value v, eval_driver(plan.head));
     return engine.Parallelize({std::move(v)}, 1);
   }
-  const std::vector<std::string> in_schema = schema;
-  const CExprPtr head = plan.head;
+  ProgramPtr head = CompileRow(plan.head, schema, state);
   return engine.Map(
       *ds,
-      [&state, in_schema, head](const Value& row) -> StatusOr<Value> {
-        return EvalExpr(head, RowCtx(in_schema, row.tuple(), state));
+      [head](const Value& row) -> StatusOr<Value> {
+        return head->Run(row.tuple());
       },
       "yield");
 }
@@ -752,10 +1017,8 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
 // --------------------------- driver / array entry points --------------------
 
 StatusOr<Value> EvalDriverExpr(const CExprPtr& e, const ExecState& state) {
-  std::vector<std::string> empty_schema;
-  ValueVec empty_values;
-  EvalCtx ctx{&empty_schema, &empty_values, &state, /*allow_subplans=*/true};
-  return EvalExpr(e, ctx);
+  return RowProgram::Compile(e, {}, state, RowProgram::Context::kDriver)
+      .Run({});
 }
 
 StatusOr<Dataset> EvalArrayExpr(const CExprPtr& e, const ExecState& state) {

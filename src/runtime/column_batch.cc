@@ -548,7 +548,7 @@ bool TypedReduceAccumulator::AddInternal(const Value& row, bool trusted_hash,
 
 size_t TypedReduceAccumulator::FindOrCreateNumeric(size_t hash, int64_t bits) {
   if ((hashes_.size() + 1) * 4 > slots_.size() * 3) Grow();
-  size_t i = hash & mask_;
+  size_t i = RemixHash(hash) & mask_;
   for (;;) {
     const uint32_t s = slots_[i];
     if (s == 0) {
@@ -575,7 +575,7 @@ void TypedReduceAccumulator::Grow() {
   slots_.assign(slots_.size() * 2, 0);
   mask_ = slots_.size() - 1;
   for (size_t idx = 0; idx < hashes_.size(); ++idx) {
-    size_t i = hashes_[idx] & mask_;
+    size_t i = RemixHash(hashes_[idx]) & mask_;
     while (slots_[i] != 0) i = (i + 1) & mask_;
     slots_[i] = static_cast<uint32_t>(idx + 1);
   }

@@ -238,18 +238,6 @@ int HashDestination(size_t hash, int out_parts) {
   return static_cast<int>(hash % static_cast<size_t>(out_parts));
 }
 
-/// Murmur3-style 64-bit finalizer used to pick salt stripes. The
-/// scatter already consumed the hash modulo num_partitions
-/// (HashDestination), so striping a destination's rows must remix the
-/// hash first or the stripes would be modulus-correlated with the
-/// destination choice and collapse onto few stripes.
-size_t RemixHash(size_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h;
-}
-
 /// The sub-task layout of one salted wave (SkewConfig). Original task p
 /// becomes fanout[p] virtual tasks; virtual task t works on sub-task
 /// index_of[t] of original task_of[t]. fanout == 1 everywhere when the

@@ -11,6 +11,20 @@
 
 namespace diablo::runtime {
 
+/// Murmur3-style 64-bit finalizer. The scatter already consumed a row's
+/// hash modulo the destination count (HashDestination), so every key that
+/// lands in one destination shares that residue. Anything that splits a
+/// destination's keys further (salt stripes, probe slots of the
+/// aggregation tables) remixes the hash first; cutting the raw hash would
+/// correlate with the destination choice and, for boost-combined tuple
+/// hashes of small ints, pile keys into long probe runs.
+inline size_t RemixHash(size_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
 /// A row crossing a shuffle boundary, carrying the memoized hash of its
 /// key. The scatter computes Value::Hash() exactly once per produced
 /// row; the combine and merge sides, and any recovery replay, reuse the
@@ -35,7 +49,8 @@ using HashedVec = std::vector<HashedRow>;
 ///    terminal output by Value::Compare, so results do not depend on
 ///    hash values or table size;
 ///  - single pass, no per-node allocation: linear probing over a
-///    power-of-two slot array of uint32 entry indices.
+///    power-of-two slot array of uint32 entry indices, starting at the
+///    slot RemixHash(hash) picks.
 ///
 /// Not thread-safe; each partition task owns its own accumulator.
 template <typename Payload>
@@ -71,30 +86,25 @@ class KeyedAccumulator {
   /// MUST equal key.Hash(); it is trusted, never recomputed.
   Ref FindOrCreate(size_t hash, const Value& key) {
     if ((entries_.size() + 1) * 4 > slots_.size() * 3) Grow();
-    size_t i = hash & mask_;
-    for (;;) {
-      const uint32_t s = slots_[i];
-      if (s == 0) {
-        entries_.push_back(Entry{hash, key, Payload{}});
-        slots_[i] = static_cast<uint32_t>(entries_.size());
-        return Ref{entries_.back().payload, true};
-      }
-      Entry& e = entries_[s - 1];
-      if (e.hash == hash && e.key == key) return Ref{e.payload, false};
-      i = (i + 1) & mask_;
-    }
+    const size_t i = SlotFor(hash, key);
+    if (slots_[i] != 0) return Ref{entries_[slots_[i] - 1].payload, false};
+    entries_.push_back(Entry{hash, key, Payload{}});
+    slots_[i] = static_cast<uint32_t>(entries_.size());
+    return Ref{entries_.back().payload, true};
   }
 
   /// The payload for `key`, or nullptr when absent (join probe side).
   Payload* Find(size_t hash, const Value& key) {
-    size_t i = hash & mask_;
-    for (;;) {
-      const uint32_t s = slots_[i];
-      if (s == 0) return nullptr;
-      Entry& e = entries_[s - 1];
-      if (e.hash == hash && e.key == key) return &e.payload;
-      i = (i + 1) & mask_;
-    }
+    const uint32_t s = slots_[SlotFor(hash, key)];
+    return s == 0 ? nullptr : &entries_[s - 1].payload;
+  }
+
+  /// Slots a lookup of `key` inspects (1 = its home slot). A diagnostic
+  /// of the hash layout: tests bound its mean over a table's keys.
+  size_t ProbeLength(size_t hash, const Value& key) const {
+    size_t probes = 0;
+    SlotFor(hash, key, &probes);
+    return probes;
   }
 
   /// Estimated footprint of the table itself: probe slots plus the entry
@@ -126,6 +136,23 @@ class KeyedAccumulator {
     return size;
   }
 
+  /// The slot holding `key`, else the empty slot that ends its probe
+  /// run. `*probes`, when given, receives the number of slots inspected.
+  size_t SlotFor(size_t hash, const Value& key,
+                 size_t* probes = nullptr) const {
+    size_t i = RemixHash(hash) & mask_;
+    size_t n = 1;
+    for (;; ++n) {
+      const uint32_t s = slots_[i];
+      if (s == 0) break;
+      const Entry& e = entries_[s - 1];
+      if (e.hash == hash && e.key == key) break;
+      i = (i + 1) & mask_;
+    }
+    if (probes != nullptr) *probes = n;
+    return i;
+  }
+
   void Grow() {
     slots_.assign(slots_.size() * 2, 0);
     mask_ = slots_.size() - 1;
@@ -139,7 +166,7 @@ class KeyedAccumulator {
 
   void ReinsertAll() {
     for (size_t idx = 0; idx < entries_.size(); ++idx) {
-      size_t i = entries_[idx].hash & mask_;
+      size_t i = RemixHash(entries_[idx].hash) & mask_;
       while (slots_[i] != 0) i = (i + 1) & mask_;
       slots_[i] = static_cast<uint32_t>(idx + 1);
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -105,9 +106,17 @@ StatusOr<Value> NumericOp(BinOp op, const Value& a, const Value& b) {
       case BinOp::kMul: return Value::MakeInt(x * y);
       case BinOp::kDiv:
         if (y == 0) return Status::RuntimeError("integer division by zero");
+        // The one quotient int64 cannot hold; the hardware traps on it.
+        if (x == std::numeric_limits<int64_t>::min() && y == -1) {
+          return Status::RuntimeError(
+              StrCat("integer division overflow: ", x, " / ", y));
+        }
         return Value::MakeInt(x / y);
       case BinOp::kMod:
         if (y == 0) return Status::RuntimeError("integer modulo by zero");
+        // x % -1 is 0 for every x, but INT64_MIN % -1 traps like the
+        // division it is computed with.
+        if (y == -1) return Value::MakeInt(0);
         return Value::MakeInt(x % y);
       case BinOp::kMin: return Value::MakeInt(std::min(x, y));
       case BinOp::kMax: return Value::MakeInt(std::max(x, y));

@@ -286,6 +286,30 @@ TEST(Absint, PossiblyZeroDivisorDoesNotFire) {
   EXPECT_FALSE(HasD2xx(r.diagnostics));
 }
 
+TEST(Absint, ShortCircuitedZeroDivisorDoesNotFire) {
+  // && and || short-circuit, so a division behind an undecided left
+  // operand does not run on every path; the interpreter agrees.
+  for (const char* cond : {"i < 0 && 1 / 0 > 0", "i >= 0 || 1 / 0 > 0"}) {
+    const std::string src = std::string(
+                                "var t: int = 0;\n"
+                                "for i = 0, 3 do\n"
+                                "  if (") +
+                            cond + ")\n    t += 1;\n";
+    AbsintResult r = Analyze(src);
+    EXPECT_FALSE(HasD2xx(r.diagnostics)) << cond;
+    exec::ReferenceInterpreter interp;
+    EXPECT_TRUE(RunReference(src, &interp).ok()) << cond;
+  }
+  // A left operand that provably lets the right one run keeps the proof.
+  const std::string src =
+      "var t: int = 0;\n"
+      "if (true && 1 / 0 > 0)\n"
+      "  t := 1;\n";
+  EXPECT_NE(FindCode(Analyze(src).diagnostics, diag::kZeroDivisor), nullptr);
+  exec::ReferenceInterpreter interp;
+  EXPECT_FALSE(RunReference(src, &interp).ok());
+}
+
 // ------------------------- merge-operator algebra --------------------------
 
 TEST(MergeAlgebra, CommutativeMonoidsAreProven) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tests/test_util.h"
 
 namespace diablo::testing {
@@ -319,6 +321,136 @@ TEST(EndToEnd, MinMaxMonoids) {
                           {{"V", DoubleVector({5, -3, 12, 0.5})}});
   checker.ExpectScalarAgrees("lo");
   checker.ExpectScalarAgrees("hi");
+}
+
+// Row-program semantics: each plan expression is compiled once against
+// its row schema, with driver scalars resolved at plan time. These pin
+// that down against the reference interpreter and the local backend.
+
+TEST(RowProgram, ScalarReassignedBetweenStatements) {
+  // A is built while c = 1 and read after c := 10; the second statement
+  // must see both the forced A and the new c.
+  PipelineChecker checker(R"(
+    var c: double = 1.0;
+    var A: vector[double] = vector();
+    var B: vector[double] = vector();
+    for i = 0, 2 do
+      A[i] := V[i] * c;
+    c := 10.0;
+    for i = 0, 2 do
+      B[i] := A[i] + c;
+  )",
+                          {{"V", DoubleVector({1, 2, 3})}});
+  checker.ExpectArrayAgrees("A", 0);
+  checker.ExpectArrayAgrees("B", 0);
+}
+
+TEST(RowProgram, LoopIndexShadowsScalarOfSameName) {
+  // The row slot wins over the driver scalar i.
+  PipelineChecker checker(R"(
+    var i: int = 100;
+    var S: vector[int] = vector();
+    for i = 0, 2 do
+      S[i] := i + 1;
+  )",
+                          {});
+  checker.ExpectArrayAgrees("S", 0);
+  checker.ExpectScalarAgrees("i", 0);
+}
+
+TEST(RowProgram, FalseAndErroringOperandDoesNotRaise) {
+  // && short-circuits: 1 / (i - i) is never evaluated.
+  PipelineChecker checker(R"(
+    var S: vector[int] = vector();
+    for i = 0, 4 do
+      if (i < 0 && 1 / (i - i) > 0)
+        S[i] := 1;
+      else
+        S[i] := 2;
+  )",
+                          {});
+  checker.ExpectArrayAgrees("S", 0);
+}
+
+TEST(RowProgram, TrueOrErroringOperandDoesNotRaise) {
+  PipelineChecker checker(R"(
+    var n: int = 0;
+    for i = 0, 4 do
+      if (i >= 0 || 1 / (i - i) > 0)
+        n += 1;
+  )",
+                          {});
+  checker.ExpectScalarAgrees("n", 0);
+}
+
+TEST(RowProgram, PerRowRangeGenerator) {
+  // The inner range's bound is a row variable: iterated per row.
+  PipelineChecker checker(R"(
+    var S: vector[int] = vector();
+    for i = 0, 4 do
+      for j = 0, i do
+        S[i] += j;
+  )",
+                          {});
+  checker.ExpectArrayAgrees("S", 0);
+}
+
+// INT64_MIN / -1 has no int64 quotient. Every backend reports it as the
+// same runtime error instead of trapping, on the driver and per row;
+// INT64_MIN % -1 is exactly 0.
+
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+
+/// Runs `source` on the engine, the local backend and the reference
+/// interpreter: all three must fail with `message`.
+void ExpectAllBackendsFail(const std::string& source, const Bindings& inputs,
+                           const std::string& message) {
+  auto compiled = Compile(source);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  runtime::Engine engine;
+  auto run = Run(*compiled, &engine, inputs);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().message(), message);
+  auto local = RunLocal(*compiled, inputs);
+  ASSERT_FALSE(local.ok());
+  EXPECT_EQ(local.status().message(), message);
+  auto ref = RunReference(source, inputs);
+  ASSERT_FALSE(ref.ok());
+  EXPECT_EQ(ref.status().message(), message);
+}
+
+TEST(IntegerDivision, Int64MinByMinusOneIsAnErrorOnTheDriver) {
+  ExpectAllBackendsFail("var y: int = n / m;",
+                        {{"n", IV(kInt64Min)}, {"m", IV(-1)}},
+                        "integer division overflow: -9223372036854775808 / -1");
+}
+
+TEST(IntegerDivision, Int64MinByMinusOneIsAnErrorPerRow) {
+  ExpectAllBackendsFail(R"(
+    var S: vector[int] = vector();
+    for i = 0, 2 do
+      S[i] := V[i] / m;
+  )",
+                        {{"V", IntVector({7, kInt64Min, 9})}, {"m", IV(-1)}},
+                        "integer division overflow: -9223372036854775808 / -1");
+}
+
+TEST(IntegerDivision, Int64MinModMinusOneIsZero) {
+  PipelineChecker driver("var z: int = n % m;",
+                         {{"n", IV(kInt64Min)}, {"m", IV(-1)}});
+  driver.ExpectScalarAgrees("z", 0);
+  PipelineChecker rows(R"(
+    var S: vector[int] = vector();
+    for i = 0, 2 do
+      S[i] := V[i] % m;
+  )",
+                       {{"V", IntVector({7, kInt64Min, 9})}, {"m", IV(-1)}});
+  rows.ExpectArrayAgrees("S", 0);
+  runtime::Engine engine;
+  auto run = CompileAndRun("var z: int = n % m;", &engine,
+                           {{"n", IV(kInt64Min)}, {"m", IV(-1)}});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(*run->Scalar("z"), IV(0));
 }
 
 }  // namespace

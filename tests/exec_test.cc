@@ -1,11 +1,16 @@
 // Tests for the target-code executor: while-loop lifting, declare
 // re-initialization inside loops (PageRank's Q), scalar assignment
-// cardinality, and the §5 tiled-storage mode.
+// cardinality, the §5 tiled-storage mode, and the row programs plans
+// evaluate their expressions with.
 
 #include "exec/target_executor.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "plan/plan.h"
+#include "plan/row_program.h"
 #include "tests/test_util.h"
 
 namespace diablo::exec {
@@ -17,6 +22,7 @@ using testing::DoubleVector;
 using testing::DV;
 using testing::IV;
 using testing::Pair;
+using testing::SV;
 using testing::Tup;
 using runtime::Value;
 
@@ -208,6 +214,194 @@ TEST(TiledExecution, IteratedMergesStayConsistent) {
       EXPECT_DOUBLE_EQ(row.tuple()[1].AsDouble(), 27.0);
     }
   }
+}
+
+// --------------------------- row programs -----------------------------------
+
+/// Runs `source` on the engine and under the reference interpreter. Both
+/// must fail; the engine with exactly `message`, the text plan
+/// evaluation has always reported.
+void ExpectRowError(const std::string& source, const Bindings& inputs,
+                    const std::string& message) {
+  runtime::Engine engine;
+  auto run = CompileAndRun(source, &engine, inputs);
+  ASSERT_FALSE(run.ok()) << "the engine accepted:\n" << source;
+  EXPECT_EQ(run.status().code(), StatusCode::kRuntimeError);
+  EXPECT_EQ(run.status().message(), message);
+  auto ref = RunReference(source, inputs);
+  EXPECT_FALSE(ref.ok()) << "the reference interpreter accepted:\n"
+                         << source;
+}
+
+TEST(RowProgramErrors, TupleProjectionPastArity) {
+  ExpectRowError(R"(
+    var S: vector[int] = vector();
+    for i = 0, 0 do
+      S[i] := V[i]._3;
+  )",
+                 {{"V", Bag({Pair(IV(0), Tup({IV(1), IV(2)}))})}},
+                 "cannot project ._3 out of (1,2)");
+}
+
+TEST(RowProgramErrors, MissingRecordField) {
+  Value rec = Value::MakeRecord({{"A", IV(1)}, {"B", IV(2)}});
+  ExpectRowError(R"(
+    var S: vector[int] = vector();
+    for i = 0, 0 do
+      S[i] := V[i].C;
+  )",
+                 {{"V", Bag({Pair(IV(0), rec)})}},
+                 "record <A=1,B=2> has no field 'C'");
+}
+
+TEST(RowProgramErrors, ArrayVariableInRowContext) {
+  ExpectRowError(R"(
+    var S: vector[double] = vector();
+    for i = 0, 2 do
+      S[i] := V + 1.0;
+  )",
+                 {{"V", DoubleVector({1, 2, 3})}},
+                 "distributed array 'V' used as a value inside a row "
+                 "expression");
+}
+
+/// A plan over the array V of (i, v) rows with `head` as its yield.
+plan::CompPlan ScanPlan(comp::CExprPtr head) {
+  plan::StreamOp scan;
+  scan.kind = plan::StreamOp::Kind::kSourceArray;
+  scan.array = "V";
+  scan.pattern = comp::Pattern::Tuple(
+      {comp::Pattern::Var("i"), comp::Pattern::Var("v")});
+  scan.schema_after = {"i", "v"};
+  plan::CompPlan p;
+  p.ops.push_back(std::move(scan));
+  p.head = std::move(head);
+  return p;
+}
+
+struct PlanFixture {
+  runtime::Engine engine;
+  std::map<std::string, Value> scalars{{"k", IV(7)}};
+  std::map<std::string, runtime::Dataset> arrays;
+  plan::ExecState state;
+
+  PlanFixture() {
+    arrays["V"] = engine.Parallelize({Pair(IV(0), DV(1.5))});
+    state.engine = &engine;
+    state.scalars = &scalars;
+    state.arrays = &arrays;
+  }
+
+  /// Executes ScanPlan(head) and collects; the error message or "".
+  std::string RunError(comp::CExprPtr head) {
+    auto ds = plan::ExecutePlan(ScanPlan(std::move(head)), state);
+    if (!ds.ok()) return ds.status().message();
+    auto rows = engine.Collect(*ds);
+    return rows.ok() ? "" : rows.status().message();
+  }
+};
+
+TEST(RowProgramErrors, UnboundVariable) {
+  PlanFixture f;
+  EXPECT_EQ(f.RunError(comp::MakeVar("nope")), "unbound variable 'nope'");
+}
+
+TEST(RowProgramErrors, RowInvalidKindsRaiseOnlyWhenEvaluated) {
+  // Nested comprehensions, merges and arrays compile in row context;
+  // they raise their message when evaluated, never when compiled.
+  PlanFixture f;
+  comp::CExprPtr nested = comp::MakeNested(comp::MakeComp(
+      comp::MakeVar("v"),
+      {comp::Qualifier::Generator(comp::Pattern::Var("x"),
+                                  comp::MakeVar("V"))}));
+  comp::CExprPtr merge = comp::MakeMerge(comp::MakeVar("V"),
+                                         comp::MakeVar("V"));
+  const std::pair<comp::CExprPtr, std::string> cases[] = {
+      {nested,
+       "nested comprehension in a row expression (normalizer should have "
+       "flattened it)"},
+      {merge, "array merge in a row expression"},
+      {comp::MakeVar("V"),
+       "distributed array 'V' used as a value inside a row expression"},
+  };
+  for (const auto& [bad, message] : cases) {
+    EXPECT_EQ(f.RunError(bad), message);
+    EXPECT_EQ(f.RunError(comp::MakeBin(runtime::BinOp::kAnd,
+                                       comp::MakeBool(true), bad)),
+              message);
+    EXPECT_EQ(f.RunError(comp::MakeBin(runtime::BinOp::kAnd,
+                                       comp::MakeBool(false), bad)),
+              "");
+    EXPECT_EQ(f.RunError(comp::MakeBin(runtime::BinOp::kOr,
+                                       comp::MakeBool(true), bad)),
+              "");
+  }
+}
+
+TEST(RowProgram, SlotsConstantsAndProjectionsBorrow) {
+  PlanFixture f;
+  const std::vector<std::string> schema = {"i", "p"};
+  const runtime::ValueVec row = {IV(3), Tup({DV(1.5), SV("x")})};
+  auto eval = [&](const comp::CExprPtr& e, Value* scratch) {
+    Status error;
+    const Value* v = plan::RowProgram::Compile(e, schema, f.state)
+                         .Eval(row, scratch, &error);
+    EXPECT_TRUE(error.ok()) << error.ToString();
+    return v;
+  };
+  Value scratch;
+  EXPECT_EQ(eval(comp::MakeVar("p"), &scratch), &row[1]);
+  EXPECT_EQ(eval(comp::MakeProj(comp::MakeVar("p"), "_2"), &scratch),
+            &row[1].tuple()[1]);
+  // A computed value lands in the scratch.
+  const Value* sum = eval(
+      comp::MakeBin(runtime::BinOp::kAdd, comp::MakeVar("i"),
+                    comp::MakeInt(1)),
+      &scratch);
+  EXPECT_EQ(sum, &scratch);
+  EXPECT_EQ(*sum, IV(4));
+  // A projection out of a computed tuple is copied out of it.
+  const Value* part = eval(
+      comp::MakeProj(comp::MakeTuple({comp::MakeVar("i"), comp::MakeInt(9)}),
+                     "_2"),
+      &scratch);
+  EXPECT_EQ(part, &scratch);
+  EXPECT_EQ(*part, IV(9));
+}
+
+TEST(RowProgram, SchemaFirstThenScalarsResolvedAtCompileTime) {
+  PlanFixture f;
+  const runtime::ValueVec row = {IV(1)};
+  plan::RowProgram slot =
+      plan::RowProgram::Compile(comp::MakeVar("k"), {"k"}, f.state);
+  plan::RowProgram scalar =
+      plan::RowProgram::Compile(comp::MakeVar("k"), {"j"}, f.state);
+  // The scalar's value is taken when the program is compiled.
+  f.scalars["k"] = IV(8);
+  EXPECT_EQ(*slot.Run(row), IV(1));
+  EXPECT_EQ(*scalar.Run(row), IV(7));
+}
+
+TEST(RowProgram, RangeIteratesBoundsWithoutABag) {
+  PlanFixture f;
+  plan::RowProgram range = plan::RowProgram::Compile(
+      comp::MakeRange(comp::MakeInt(2), comp::MakeVar("i")), {"i"}, f.state);
+  ASSERT_TRUE(range.is_range());
+  int64_t lo = 0, hi = 0;
+  ASSERT_TRUE(range.EvalRange({IV(5)}, &lo, &hi).ok());
+  EXPECT_EQ(lo, 2);
+  EXPECT_EQ(hi, 5);
+  Status bad = range.EvalRange({DV(5.0)}, &lo, &hi);
+  EXPECT_EQ(bad.message(), "range bounds must be integers");
+  // Evaluated as a value, the same range is the bag of its ints.
+  EXPECT_EQ(*range.Run({IV(3)}), Bag({IV(2), IV(3)}));
+  // The size check holds even where hi - lo overflows int64.
+  plan::RowProgram huge = plan::RowProgram::Compile(
+      comp::MakeRange(comp::MakeInt(std::numeric_limits<int64_t>::min()),
+                      comp::MakeInt(std::numeric_limits<int64_t>::max())),
+      {}, f.state);
+  EXPECT_EQ(huge.EvalRange({}, &lo, &hi).message(),
+            "range too large to materialize per-row");
 }
 
 }  // namespace

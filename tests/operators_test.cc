@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace diablo::runtime {
 namespace {
 
@@ -33,6 +35,22 @@ TEST(Operators, DivisionByZero) {
   EXPECT_FALSE(EvalBinOp(BinOp::kMod, I(1), I(0)).ok());
   // Double division by zero follows IEEE.
   EXPECT_TRUE(EvalBinOp(BinOp::kDiv, D(1), D(0)).ok());
+}
+
+TEST(Operators, Int64MinDividedByMinusOne) {
+  // The quotient does not fit in int64 (the hardware traps on it); the
+  // remainder is exactly 0.
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  auto q = EvalBinOp(BinOp::kDiv, I(min), I(-1));
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kRuntimeError);
+  EXPECT_EQ(q.status().message(),
+            "integer division overflow: -9223372036854775808 / -1");
+  EXPECT_EQ(EvalBinOp(BinOp::kMod, I(min), I(-1))->AsInt(), 0);
+  EXPECT_EQ(EvalBinOp(BinOp::kMod, I(-7), I(-1))->AsInt(), 0);
+  EXPECT_EQ(EvalBinOp(BinOp::kDiv, I(min), I(1))->AsInt(), min);
+  EXPECT_EQ(EvalBinOp(BinOp::kDiv, I(min + 1), I(-1))->AsInt(), -(min + 1));
+  EXPECT_EQ(EvalBinOp(BinOp::kMod, I(min), I(3))->AsInt(), min % 3);
 }
 
 TEST(Operators, StringConcatAndCompare) {

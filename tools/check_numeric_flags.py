@@ -7,7 +7,10 @@ least 1, and --broadcast-mb at least 0 and small enough that N MB fits
 in int64. Each fault rate (--fail-rate, --straggler-rate, --corrupt-rate,
 --chaos-kill-rate) must be a finite probability in [0, 1]. diablo_lint's
 --max-domain must be an integer of at least 2 and --bytes-per-slot one of
-at least 1, both fitting in int. A bad value must fail with exit code 1,
+at least 1, both fitting in int. A --scalar value or CSV cell shaped like a
+number must fit an int64 or a finite double, and the colon-separated
+--kill, --lose, --chaos-kill and --dist-stall fields must be ints in
+[0, INT_MAX]. A bad value must fail with exit code 1,
 one `<tool>: <flag> ...` line on stderr and nothing on stdout. The same
 program with in-range values must still run (or lint).
 
@@ -18,8 +21,10 @@ Usage:
 Prints "OK: ..." and exits 0 on success, 1 on any check failure.
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 
 BAD = [
     ("--partitions", "0"),
@@ -48,6 +53,15 @@ BAD = [
     ("--straggler-rate", "5"),
     ("--corrupt-rate", "1.5"),
     ("--chaos-kill-rate", "-0.5"),
+    ("--scalar", "n=99999999999999999999"),
+    ("--scalar", "n=-99999999999999999999"),
+    ("--scalar", "x=1e999"),
+    ("--kill", "4294967296:0"),
+    ("--kill", "-1:0"),
+    ("--kill", "0:x"),
+    ("--lose", "0:99999999999:0"),
+    ("--chaos-kill", "4294967296:0"),
+    ("--dist-stall", "0:4294967296"),
 ]
 
 LINT_BAD = [
@@ -79,6 +93,10 @@ GOOD = [
     ("--fail-rate", "0.1"),
     ("--straggler-rate", "1"),
     ("--corrupt-rate", "0.002"),
+    ("--scalar", "n=9223372036854775807"),
+    ("--scalar", "n=-9223372036854775808"),
+    ("--scalar", "x=1e-999"),
+    ("--kill", "0:0"),
 ]
 
 
@@ -101,6 +119,22 @@ def check(tool, base, bad, good, failures):
                             f"{proc.stderr.strip()!r}")
 
 
+def check_csv_cell(run, program, failures):
+    """An out-of-range CSV cell dies naming its file and line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.csv")
+        with open(path, "w") as f:
+            f.write("0,1\n1,99999999999999999999\n")
+        proc = subprocess.run([run, program, "--vector", f"V={path}"],
+                              capture_output=True, text=True)
+        err = proc.stderr.strip()
+        if (proc.returncode != 1 or proc.stdout != "" or "\n" in err or
+                not err.startswith(f"diablo_run: {path}:2: expects")):
+            failures.append(f"diablo_run bad CSV cell: exit "
+                            f"{proc.returncode}, stdout {proc.stdout!r}, "
+                            f"stderr {err!r}")
+
+
 def main():
     if len(sys.argv) < 4:
         print(__doc__, file=sys.stderr)
@@ -109,11 +143,12 @@ def main():
     failures = []
     check("diablo_run", [run, program] + sys.argv[4:], BAD, GOOD, failures)
     check("diablo_lint", [lint, program], LINT_BAD, LINT_GOOD, failures)
+    check_csv_cell(run, program, failures)
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if failures:
         return 1
-    print(f"OK: {len(BAD) + len(LINT_BAD)} bad numeric flags rejected, "
+    print(f"OK: {len(BAD) + len(LINT_BAD) + 1} bad numeric flags rejected, "
           f"{len(GOOD) + len(LINT_GOOD)} valid ones accepted")
     return 0
 

@@ -7,9 +7,12 @@
 //
 // Options:
 //   --scalar NAME=VALUE      bind a scalar input (int, double, bool or
-//                            quoted string, inferred from the spelling)
+//                            quoted string, inferred from the spelling;
+//                            a number out of int64/double range exits 1)
 //   --vector NAME=FILE.csv   bind a sparse vector: each line `key,value`
 //   --matrix NAME=FILE.csv   bind a sparse matrix: each line `i,j,value`
+//                            (cells parse like --scalar values; a bad one
+//                            exits 1 naming FILE:LINE)
 //   --print NAME             print a scalar or array output (repeatable)
 //   --target                 print the translated target code
 //   --plan-report            print the engine stage report after the run
@@ -135,6 +138,7 @@ using diablo::StatusCode;
 using diablo::runtime::Value;
 using diablo::runtime::ValueVec;
 using diablo::cli::Die;
+using diablo::cli::ParseDoubleFlag;
 using diablo::cli::ParseIntFlag;
 using diablo::cli::ParseIntFlagIn;
 using diablo::cli::ParseRateFlag;
@@ -180,22 +184,26 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-/// Parses a literal: bool, int, double, or quoted/bare string.
-Value ParseScalar(const std::string& text) {
+/// Parses a literal: bool, int, double, or quoted/bare string. Text
+/// shaped like a number must fit its type: an out-of-range int or double
+/// dies with one line naming `origin` (a flag or a CSV file:line) instead
+/// of running on a saturated value.
+Value ParseScalar(const std::string& origin, const std::string& text) {
   if (text == "true") return Value::MakeBool(true);
   if (text == "false") return Value::MakeBool(false);
   if (text.size() >= 2 && text.front() == '"' && text.back() == '"') {
     return Value::MakeString(text.substr(1, text.size() - 2));
   }
+  if (text.empty()) return Value::MakeString(text);
   char* end = nullptr;
-  long long as_int = std::strtoll(text.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return Value::MakeInt(as_int);
+  std::strtoll(text.c_str(), &end, 10);
+  if (end != nullptr && *end == '\0') {
+    return Value::MakeInt(ParseIntFlag(origin, text));
   }
   end = nullptr;
-  double as_double = std::strtod(text.c_str(), &end);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return Value::MakeDouble(as_double);
+  std::strtod(text.c_str(), &end);
+  if (end != nullptr && *end == '\0') {
+    return Value::MakeDouble(ParseDoubleFlag(origin, text));
   }
   return Value::MakeString(text);
 }
@@ -232,10 +240,11 @@ Value LoadCsv(const std::string& path, bool matrix) {
       Die(path + ":" + std::to_string(lineno) + ": expected " +
           std::to_string(expected) + " fields");
     }
-    Value key = matrix ? Value::MakeTuple({ParseScalar(fields[0]),
-                                           ParseScalar(fields[1])})
-                       : ParseScalar(fields[0]);
-    rows.push_back(Value::MakePair(key, ParseScalar(fields.back())));
+    const std::string cell = path + ":" + std::to_string(lineno) + ":";
+    Value key = matrix ? Value::MakeTuple({ParseScalar(cell, fields[0]),
+                                           ParseScalar(cell, fields[1])})
+                       : ParseScalar(cell, fields[0]);
+    rows.push_back(Value::MakePair(key, ParseScalar(cell, fields.back())));
   }
   return Value::MakeBag(std::move(rows));
 }
@@ -251,22 +260,18 @@ NameValue SplitBinding(const std::string& arg) {
   return {arg.substr(0, eq), arg.substr(eq + 1)};
 }
 
-/// Parses "S:P" or "S:P:I" colon-separated small integers.
-std::vector<int> SplitColonInts(const std::string& arg, size_t min_fields,
+/// Parses "S:P" or "S:P:I" colon-separated non-negative ints for `flag`.
+std::vector<int> SplitColonInts(const std::string& flag,
+                                const std::string& arg, size_t min_fields,
                                 size_t max_fields) {
   std::vector<int> out;
   std::string field;
   std::istringstream in(arg);
   while (std::getline(in, field, ':')) {
-    char* end = nullptr;
-    long v = std::strtol(field.c_str(), &end, 10);
-    if (field.empty() || end == nullptr || *end != '\0') {
-      Die("expected colon-separated integers, got " + arg);
-    }
-    out.push_back(static_cast<int>(v));
+    out.push_back(static_cast<int>(ParseIntFlagIn(flag, field, 0, INT_MAX)));
   }
   if (out.size() < min_fields || out.size() > max_fields) {
-    Die("expected STAGE:PARTITION" +
+    Die(flag + " expects STAGE:PARTITION" +
         std::string(max_fields > 2 ? "[:INPUT]" : "") + ", got " + arg);
   }
   return out;
@@ -298,7 +303,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scalar") {
       NameValue nv = SplitBinding(next());
-      inputs[nv.name] = ParseScalar(nv.value);
+      inputs[nv.name] = ParseScalar(arg, nv.value);
     } else if (arg == "--vector") {
       NameValue nv = SplitBinding(next());
       inputs[nv.name] = LoadCsv(nv.value, /*matrix=*/false);
@@ -357,10 +362,10 @@ int main(int argc, char** argv) {
       engine_config.faults.max_task_attempts =
           static_cast<int>(ParseIntFlagIn(arg, next(), 1, INT_MAX));
     } else if (arg == "--kill") {
-      std::vector<int> sp = SplitColonInts(next(), 2, 2);
+      std::vector<int> sp = SplitColonInts(arg, next(), 2, 2);
       engine_config.faults.kill_tasks.push_back({sp[0], sp[1]});
     } else if (arg == "--lose") {
-      std::vector<int> sp = SplitColonInts(next(), 2, 3);
+      std::vector<int> sp = SplitColonInts(arg, next(), 2, 3);
       engine_config.faults.lose_partitions.push_back(
           {sp[0], sp[1], sp.size() > 2 ? sp[2] : 0});
     } else if (arg == "--tiled") {
@@ -387,13 +392,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--dist-max-respawns") {
       dist_config.max_respawns = static_cast<int>(ParseIntFlag(arg, next()));
     } else if (arg == "--dist-stall") {
-      std::vector<int> wm = SplitColonInts(next(), 2, 2);
+      std::vector<int> wm = SplitColonInts(arg, next(), 2, 2);
       dist_config.stall_worker = wm[0];
       dist_config.stall_ms = wm[1];
     } else if (arg == "--dist-verbose") {
       dist_config.verbose = true;
     } else if (arg == "--chaos-kill") {
-      std::vector<int> sw = SplitColonInts(next(), 2, 3);
+      std::vector<int> sw = SplitColonInts(arg, next(), 2, 3);
       dist_config.chaos.kills.push_back(
           {sw[0], sw[1], sw.size() > 2 ? sw[2] : 0});
     } else if (arg == "--chaos-kill-rate") {

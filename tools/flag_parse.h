@@ -10,6 +10,7 @@
 #define DIABLO_TOOLS_FLAG_PARSE_H_
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -18,11 +19,15 @@ namespace diablo::cli {
 /// Prints "<tool>: message" to stderr and exits 1.
 [[noreturn]] void Die(const std::string& message);
 
+/// A number; one too large for a double ("1e999") dies rather than
+/// reading as infinity. Underflow rounds, as in the lexer.
 inline double ParseDoubleFlag(const std::string& flag,
                               const std::string& text) {
   char* end = nullptr;
+  errno = 0;
   double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0') {
+  if (text.empty() || end == nullptr || *end != '\0' ||
+      (errno == ERANGE && std::isinf(v))) {
     Die(flag + " expects a number, got '" + text + "'");
   }
   return v;
